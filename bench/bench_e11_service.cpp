@@ -9,7 +9,9 @@
 //
 // The workload interleaves targets (pair i gets target i mod T), the
 // adversarial order for an LRU and the natural order for a service fed by
-// independent clients.
+// independent clients. The per-pair baseline routes on the calling thread
+// (RouteServiceOptions::parallel = false) so its miss count is
+// deterministic; the sharded service fans out across the pool.
 #include "harness.hpp"
 
 namespace {
@@ -49,6 +51,10 @@ ModeResult run_mode(const nav::graph::Graph& g,
   const auto router = nav::routing::make_router("greedy", g, cache);
   nav::api::RouteServiceOptions options;
   options.shard_by_target = shard_by_target;
+  // The per-pair baseline runs on one lane: from pool threads its hits on
+  // the shared LRU interleave with the schedule, so its miss count would
+  // depend on thread timing. Serially it is a pure function of the batch.
+  options.parallel = shard_by_target;
   const nav::api::RouteService service(g, cache, scheme, *router, options);
   nav::Timer timer;
   ModeResult mode;

@@ -225,6 +225,9 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
     // it, so after the first wave the container itself allocates nothing.
     std::vector<graph::DistVecPtr> pinned;
     std::vector<RowSource> slot_source;
+    // The wave's routable (slot, job) pairs in shard order, reused across
+    // waves like `pinned`.
+    std::vector<std::pair<std::size_t, std::size_t>> routable;
     for (std::size_t lo = 0; lo < shard_jobs.size(); lo += wave) {
       const std::size_t hi = std::min(shard_jobs.size(), lo + wave);
       const std::size_t slots = hi - lo;
@@ -309,6 +312,8 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
       // Under tolerate_unreachable a disconnected pair becomes a
       // reached = false result here and its job is excluded from routing;
       // rowless (kNone) and fallback-sourced pairs are classified here too.
+      // Every other pair joins the wave's flat routable list.
+      routable.clear();
       for (std::size_t k = lo; k < hi; ++k) {
         const std::size_t s = k - lo;
         if (slot_source[s] == RowSource::kNone) {
@@ -327,7 +332,10 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
         }
         const auto& dist = *pinned[s];
         for (const std::size_t i : shard_jobs[k]) {
-          if (dist[jobs[i].source] != graph::kInfDist) continue;
+          if (dist[jobs[i].source] != graph::kInfDist) {
+            routable.emplace_back(s, i);
+            continue;
+          }
           NAV_REQUIRE(
               options_.tolerate_unreachable ||
                   slot_source[s] == RowSource::kFallback,
@@ -337,28 +345,24 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
           resil.status[i] = DegradationStatus::kDegraded;
         }
       }
-      auto shard_body = [&](std::size_t k) {
-        const std::size_t s = k - lo;
-        if (slot_source[s] == RowSource::kNone) return;
-        const routing::Router& shard_router =
+      auto route_pair = [&](std::size_t p) {
+        const auto [s, i] = routable[p];
+        const routing::Router& pair_router =
             slot_source[s] == RowSource::kFallback &&
                     rz.fallback_router != nullptr
                 ? *rz.fallback_router
                 : router_;
         const graph::DistView& dist = *pinned[s];
-        for (const std::size_t i : shard_jobs[k]) {
-          if (dist[jobs[i].source] == graph::kInfDist) {
-            continue;  // already reported as unreached
-          }
-          results[i] = shard_router.route_resolved(
-              jobs[i].source, jobs[i].target, dist, scheme_, jobs[i].rng);
-        }
+        results[i] = pair_router.route_resolved(
+            jobs[i].source, jobs[i].target, dist, scheme_, jobs[i].rng);
       };
       if (parallel) {
-        // Dynamic scheduling: shard sizes are as skewed as the workload.
-        nav::parallel_for_dynamic(lo, hi, shard_body);
+        // Pair-granular dynamic scheduling: pins are read-only and each job
+        // owns its rng stream and result slot, so a hot target's shard can
+        // spread across every lane without changing a bit of the results.
+        nav::parallel_for_dynamic(0, routable.size(), route_pair);
       } else {
-        for (std::size_t k = lo; k < hi; ++k) shard_body(k);
+        for (std::size_t p = 0; p < routable.size(); ++p) route_pair(p);
       }
     }
   }

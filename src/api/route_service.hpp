@@ -12,11 +12,15 @@
 //   2. prefetch shard targets in waves through the oracle's batch interface
 //      (one parallel BFS sweep over the misses; the returned vectors stay
 //      pinned for the wave, immune to LRU eviction),
-//   3. execute the wave's shards across the thread pool with dynamic
-//      scheduling (parallel_for_dynamic — shards are uneven), each shard
-//      routing through its pinned vector (Router::route_resolved), so the
-//      oracle is never queried from inside a pool task,
-//   4. inside a shard, route pairs in request order.
+//   3. flatten the wave's routable pairs into one (slot, job) list in shard
+//      order, request order within a shard,
+//   4. execute that list across the thread pool with per-pair dynamic
+//      scheduling (parallel_for_dynamic), each pair routing through its
+//      shard's pinned vector (Router::route_resolved), so the oracle is
+//      never queried from inside a pool task. Scheduling pairs rather than
+//      whole shards keeps every lane busy when skewed demand piles most of
+//      a batch onto one hot target; the sequential path walks the same
+//      list in order.
 //
 // Net effect: exactly one BFS per distinct target per batch, whatever the
 // cache capacity, concurrency, or request order. Like parallel_for, batch
@@ -288,7 +292,7 @@ struct ResilienceOptions {
 
 /// Execution knobs for RouteService.
 struct RouteServiceOptions {
-  /// Execute shards across the global thread pool; false routes everything
+  /// Execute routes across the global thread pool; false routes everything
   /// on the calling thread (still sharded, still the same results).
   bool parallel = true;
   /// Group jobs by target before executing. Disabling this reproduces the
@@ -332,7 +336,7 @@ struct BatchReport {
   std::size_t pairs = 0;
   /// Distinct route targets in the batch.
   std::size_t distinct_targets = 0;
-  /// Execution units handed to the pool (== distinct targets when sharding,
+  /// Shards the batch was split into (== distinct targets when sharding,
   /// == pairs when not).
   std::size_t shards = 0;
   /// Wall-clock seconds spent executing the batch.
@@ -414,7 +418,7 @@ class RouteService {
       Rng rng) const;
 
   /// Enqueues a batch on the service thread and returns its future. Batches
-  /// execute FIFO; each still fans its shards across the thread pool.
+  /// execute FIFO; each still fans its routes across the thread pool.
   /// Admission applies here (see RouteServiceOptions::admission): Bounded
   /// may block the caller until the queue has room; Shed may later fail the
   /// returned future with ShedError. Throws std::invalid_argument when the

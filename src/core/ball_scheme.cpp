@@ -8,7 +8,7 @@
 namespace nav::core {
 
 BallScheme::BallScheme(const Graph& g, std::uint32_t levels)
-    : graph_(g), levels_(levels), ecc_upper_(g.num_nodes()) {
+    : graph_(g), levels_(levels) {
   NAV_REQUIRE(g.num_nodes() >= 1, "empty graph");
   if (levels_ == 0) {
     levels_ = std::max<std::uint32_t>(
@@ -16,32 +16,50 @@ BallScheme::BallScheme(const Graph& g, std::uint32_t levels)
                std::ceil(std::log2(static_cast<double>(g.num_nodes())))));
   }
   NAV_REQUIRE(levels_ <= 31, "too many levels");
-  for (auto& e : ecc_upper_) e.store(0, std::memory_order_relaxed);
+  ball_size_ = std::vector<std::atomic<std::uint32_t>>(
+      static_cast<std::size_t>(g.num_nodes()) * levels_);
 }
 
-NodeId BallScheme::sample_from_ball(NodeId u, graph::Dist radius,
-                                    Rng& rng) const {
-  NAV_ASSERT(u < graph_.num_nodes());
-  const NodeId n = graph_.num_nodes();
-  // Whole-graph shortcuts (distribution-identical, see header).
-  if (radius >= n) return random_index(rng, n);
-  const graph::Dist known = ecc_upper_[u].load(std::memory_order_relaxed);
-  if (known != 0 && radius >= known) return random_index(rng, n);
+std::uint32_t BallScheme::cached_ball_size(NodeId u, std::uint32_t k) const {
+  NAV_ASSERT(u < graph_.num_nodes() && k >= 1 && k <= levels_);
+  return ball_size_[static_cast<std::size_t>(u) * levels_ + (k - 1)].load(
+      std::memory_order_relaxed);
+}
 
-  const auto view = graph::local_bfs_workspace().ball(graph_, u, radius);
+NodeId BallScheme::sample_from_ball(NodeId u, std::uint32_t k,
+                                    Rng& rng) const {
+  NAV_ASSERT(u < graph_.num_nodes() && k >= 1 && k <= levels_);
+  const NodeId n = graph_.num_nodes();
+  const graph::Dist radius = graph::Dist{1} << k;
+  // Whole-graph shortcut (distribution-identical, see header).
+  if (radius >= n) return random_index(rng, n);
+  std::atomic<std::uint32_t>* const sizes =
+      ball_size_.data() + static_cast<std::size_t>(u) * levels_;
+  const std::uint32_t known = sizes[k - 1].load(std::memory_order_relaxed);
+  if (known == n) return random_index(rng, n);
+  auto& ws = graph::local_bfs_workspace();
+  if (known != 0) return ws.nth_in_order(graph_, u, random_index(rng, known));
+
+  const auto view = ws.ball(graph_, u, radius);
   if (view.whole_graph) {
-    // Ball exhausted the graph: remember ecc(u) <= depth for next time, and
-    // sample over node ids directly so the draw is bit-identical to the
-    // cached-shortcut path above (determinism across cache states).
-    ecc_upper_[u].store(view.exhausted_depth, std::memory_order_relaxed);
+    // The ball swallowed the graph at depth ecc(u): every level whose radius
+    // reaches that depth is V too. Sample over node ids directly so the draw
+    // is bit-identical to the warm path above.
+    for (std::uint32_t j = 1; j <= levels_; ++j) {
+      if ((graph::Dist{1} << j) >= view.exhausted_depth) {
+        sizes[j - 1].store(n, std::memory_order_relaxed);
+      }
+    }
     return random_index(rng, n);
   }
-  return view.order[random_index(rng, view.order.size())];
+  const auto size = static_cast<std::uint32_t>(view.order.size());
+  sizes[k - 1].store(size, std::memory_order_relaxed);
+  return view.order[random_index(rng, size)];
 }
 
 NodeId BallScheme::sample_contact(NodeId u, Rng& rng) const {
   const auto k = 1 + static_cast<std::uint32_t>(rng.next_below(levels_));
-  return sample_from_ball(u, graph::Dist{1} << k, rng);
+  return sample_from_ball(u, k, rng);
 }
 
 std::string BallScheme::name() const { return "ball"; }
@@ -107,7 +125,7 @@ class FixedLevelBallScheme final : public AugmentationScheme {
       : base_(g, std::max<std::uint32_t>(k, 1)), k_(std::max<std::uint32_t>(k, 1)) {}
 
   [[nodiscard]] NodeId sample_contact(NodeId u, Rng& rng) const override {
-    return base_.sample_from_ball(u, graph::Dist{1} << k_, rng);
+    return base_.sample_from_ball(u, k_, rng);
   }
   [[nodiscard]] std::string name() const override {
     return "ball-fixed-k" + std::to_string(k_);

@@ -8,11 +8,22 @@
 //
 // This is an *a posteriori* scheme: it depends on the ball structure of G
 // (unlike the matrix schemes of §2, fixed before seeing the graph). Sampling
-// is implemented by radius-bounded BFS from u — cost O(edges inside the
-// ball). Two shortcuts keep sweeps fast without changing the distribution:
-//   * 2^k >= n-1 means B_k(u) = V (connected graph): uniform node draw;
-//   * a cached per-node eccentricity bound (learned when a BFS exhausts the
-//     graph) turns later whole-graph balls into uniform draws too.
+// is implemented by BFS from u. random_index(rng, |B|) consumes the stream
+// as a function of |B| alone, and BFS discovers nodes in an order that does
+// not depend on the radius, so the drawn contact is simply the i-th node u's
+// BFS discovers. A lazily filled size table turns that into a prefix draw:
+//   * B_k(u) = V — 2^k >= n (connected graph) or a recorded |B_k(u)| == n —
+//     is a uniform node-id draw, random_index(rng, n), with no BFS at all;
+//   * the first draw at (u, k) runs the full radius-bounded BFS, draws from
+//     the materialised ball and records |B_k(u)| in an n × levels table of
+//     u32 (relaxed atomics; racing writers store the same value). A ball
+//     that swallows the graph records n for every level j with
+//     2^j >= ecc(u) at once;
+//   * any other recorded size s draws i = random_index(rng, s) and stops the
+//     BFS as soon as node i is discovered (BfsWorkspace::nth_in_order), so
+//     a warm draw costs O(prefix) instead of O(|B_k(u)|).
+// Every path consumes the same randomness and returns the same node, so the
+// draws are bit-identical whatever the table holds.
 #pragma once
 
 #include <atomic>
@@ -40,6 +51,12 @@ class BallScheme final : public AugmentationScheme {
   /// |B(u, 2^k)| for k = 1..levels (index 0 unused). One full BFS.
   [[nodiscard]] std::vector<std::size_t> ball_sizes(NodeId u) const;
 
+  /// The size table's entry for (u, k): |B(u, 2^k)| once a draw has
+  /// recorded it, 0 while unknown. Draws at levels with 2^k >= n never
+  /// consult it.
+  [[nodiscard]] std::uint32_t cached_ball_size(NodeId u,
+                                               std::uint32_t k) const;
+
   /// E7b ablation: contact uniform in B(u, 2^k) for one fixed k (no mixture).
   [[nodiscard]] static SchemePtr make_fixed_level(const Graph& g,
                                                   std::uint32_t k);
@@ -47,15 +64,16 @@ class BallScheme final : public AugmentationScheme {
  private:
   friend class FixedLevelBallScheme;
 
-  /// Uniform draw from B(u, 2^k); shared by the mixture and fixed-k variants.
-  [[nodiscard]] NodeId sample_from_ball(NodeId u, graph::Dist radius,
+  /// Uniform draw from B(u, 2^k), k in 1..levels(); shared by the mixture
+  /// and fixed-k variants.
+  [[nodiscard]] NodeId sample_from_ball(NodeId u, std::uint32_t k,
                                         Rng& rng) const;
 
   const Graph& graph_;
   std::uint32_t levels_;
-  /// ecc_upper_[u] != 0 means B(u, r) = V for all r >= ecc_upper_[u].
+  /// ball_size_[u * levels_ + (k - 1)] = |B(u, 2^k)|, or 0 while unknown.
   /// Written racily with relaxed atomics — all writers store the same value.
-  mutable std::vector<std::atomic<graph::Dist>> ecc_upper_;
+  mutable std::vector<std::atomic<std::uint32_t>> ball_size_;
 };
 
 }  // namespace nav::core

@@ -327,6 +327,23 @@ BfsWorkspace::BallView BfsWorkspace::ball(const Graph& g, NodeId center,
   return view;
 }
 
+NodeId BfsWorkspace::nth_in_order(const Graph& g, NodeId center,
+                                  std::size_t index) {
+  NAV_REQUIRE(center < g.num_nodes(), "ball center out of range");
+  prepare(g.num_nodes());
+  try_visit(center);
+  queue_.push_back(center);
+  // A FIFO queue expanded node by node discovers in the same order as the
+  // level-by-level ball() loop; later pushes never move queue_[index].
+  for (std::size_t head = 0; queue_.size() <= index; ++head) {
+    NAV_REQUIRE(head < queue_.size(), "index beyond the reachable set");
+    for (const NodeId v : g.neighbors(queue_[head])) {
+      if (try_visit(v)) queue_.push_back(v);
+    }
+  }
+  return queue_[index];
+}
+
 Dist BfsWorkspace::eccentricity(const Graph& g, NodeId source) {
   NAV_REQUIRE(source < g.num_nodes(), "BFS source out of range");
   prepare(g.num_nodes());

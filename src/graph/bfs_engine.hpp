@@ -151,6 +151,15 @@ class BfsWorkspace {
   };
   [[nodiscard]] BallView ball(const Graph& g, NodeId center, Dist radius);
 
+  /// The index-th node BFS from center discovers (center is index 0) — the
+  /// same order ball() reports, which does not depend on the radius, so
+  /// nth_in_order(g, c, i) == ball(g, c, R).order[i] for every R whose ball
+  /// holds more than i nodes. Expansion stops as soon as that node is
+  /// discovered: cost O(prefix), not O(|ball|). Requires index < the number
+  /// of nodes reachable from center.
+  [[nodiscard]] NodeId nth_in_order(const Graph& g, NodeId center,
+                                    std::size_t index);
+
   /// max { dist(source, v) : v reachable } without materialising distances.
   [[nodiscard]] Dist eccentricity(const Graph& g, NodeId source);
 

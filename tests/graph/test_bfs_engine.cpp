@@ -94,6 +94,40 @@ TEST(BfsEngine, BallMatchesReferenceOrderExactly) {
   }
 }
 
+TEST(BfsEngine, NthInOrderMatchesReferenceBallPrefix) {
+  // The prefix draw behind the ball scheme: node i of BFS discovery order
+  // from the center, whatever radius the ball would have had. Indices are
+  // strided (plus both ends) to keep the sweep O(families × |ball|).
+  BfsWorkspace ws;
+  for (const auto& [name, g] : differential_graphs()) {
+    for (const NodeId s : sample_sources(g)) {
+      for (const Dist radius :
+           {Dist{0}, Dist{1}, Dist{2}, Dist{5}, Dist{40}, kInfDist}) {
+        const auto expect = ball_reference(g, s, radius);
+        const std::size_t stride = std::max<std::size_t>(1, expect.size() / 37);
+        for (std::size_t i = 0; i < expect.size(); i += stride) {
+          ASSERT_EQ(ws.nth_in_order(g, s, i), expect[i])
+              << name << " center=" << s << " r=" << radius << " i=" << i;
+        }
+        ASSERT_EQ(ws.nth_in_order(g, s, expect.size() - 1), expect.back())
+            << name << " center=" << s << " r=" << radius;
+      }
+    }
+  }
+}
+
+TEST(BfsEngine, NthInOrderRejectsIndexBeyondReach) {
+  // Two components of 3 nodes: only 3 nodes are reachable from node 0.
+  const Graph g(6, std::vector<std::pair<NodeId, NodeId>>{
+                       {0, 1}, {1, 2}, {3, 4}, {4, 5}});
+  BfsWorkspace ws;
+  EXPECT_EQ(ws.nth_in_order(g, 0, 2), 2u);
+  EXPECT_THROW((void)ws.nth_in_order(g, 0, 3), std::invalid_argument);
+  EXPECT_THROW((void)ws.nth_in_order(g, 6, 0), std::invalid_argument);
+  // The workspace stays usable after a rejected call.
+  EXPECT_EQ(ws.nth_in_order(g, 4, 1), ball_reference(g, 4, 1)[1]);
+}
+
 TEST(BfsEngine, BallWholeGraphDetection) {
   const auto g = make_path(10);
   BfsWorkspace ws;
