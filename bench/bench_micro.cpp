@@ -204,7 +204,9 @@ BENCHMARK(BM_DiameterDoubleSweep)->Arg(64)->Arg(256);
 // run allocation-free where the pre-engine reference pays per-call heap round
 // trips. Families straddle the direction-optimizing regimes: torus2d (high
 // diameter — the sweep stays top-down), hypercube and G(n,p) with mean degree
-// 8 (low diameter, exploding frontiers — the sweep flips bottom-up).
+// 8 (low diameter, exploding frontiers — the sweep flips bottom-up). The
+// diropt cells also carry the strict bottom_up_levels count of their timed
+// sweeps, which pins the flip schedule.
 void run_bfs_kernel_cells(bench::Harness& h) {
   using graph::Dist;
   using graph::NodeId;
@@ -260,23 +262,33 @@ void run_bfs_kernel_cells(bench::Harness& h) {
         run_once(1);
         const auto allocs_per_query =
             static_cast<double>(nav::allocation_count() - allocs_before);
+        const std::uint64_t levels_before = ws.bottom_up_levels();
         nav::Timer timer;
         for (std::size_t i = 0; i < reps; ++i) run_once(i);
         const double rate =
             static_cast<double>(g.num_nodes()) * static_cast<double>(reps) /
             timer.seconds();
+        const std::uint64_t bottom_up_levels =
+            ws.bottom_up_levels() - levels_before;
         if (kernel == "reference") ref_rate = rate;
         const double speedup = ref_rate > 0.0 ? rate / ref_rate : 1.0;
-        h.add_cell({{"family", family},
-                    {"kernel", kernel},
-                    {"n", static_cast<double>(g.num_nodes())},
-                    {"nodes_per_sec", rate},
-                    {"allocs_per_query", allocs_per_query},
-                    {"speedup", speedup}});
+        api::Record cell{
+            {"family", family},
+            {"kernel", kernel},
+            {"n", static_cast<double>(g.num_nodes())},
+            {"nodes_per_sec", rate},
+            {"allocs_per_query", allocs_per_query},
+            {"speedup", speedup}};
+        if (kernel == "diropt") {
+          cell.push_back(
+              {"bottom_up_levels", static_cast<double>(bottom_up_levels)});
+        }
+        h.add_cell(cell);
         std::printf(
-            "  %-9s n=2^%-2u %-10s %9.2f Mnodes/s  allocs/query %3.0f  x%.2f\n",
+            "  %-9s n=2^%-2u %-10s %9.2f Mnodes/s  allocs/query %3.0f  x%.2f"
+            "  bottom-up levels %llu\n",
             family.c_str(), e, kernel.c_str(), rate / 1e6, allocs_per_query,
-            speedup);
+            speedup, static_cast<unsigned long long>(bottom_up_levels));
       }
     }
   }

@@ -22,6 +22,9 @@ under a relative threshold:
 
 "Worse" respects direction: lower is better except for throughput-style
 metrics (*_per_sec, *_per_second, speedup), where higher is better.
+Schedule counts (bottom_up_levels: how many levels a kernel ran in one
+branch of a policy decision) have no better direction — any change beyond
+the threshold is a policy change and a REGRESSION either way.
 
 Series present only in the current document are reported as added
 (informational: new coverage must not fail the gate). Series that
@@ -47,6 +50,7 @@ SCHEMA = "nav-bench-trajectory-v1"
 
 HIGHER_BETTER = {"speedup"}
 HIGHER_BETTER_SUFFIXES = ("_per_sec", "_per_second")
+SCHEDULE_COUNTS = {"bottom_up_levels"}
 
 
 def lower_is_better(metric):
@@ -183,7 +187,10 @@ def main():
                 # Metric vanished from an existing series: coverage loss.
                 regressions.append(row)
                 continue
-            worse = (c > b) if lower_is_better(metric) else (c < b)
+            if metric in SCHEDULE_COUNTS:
+                worse = True
+            else:
+                worse = (c > b) if lower_is_better(metric) else (c < b)
             (regressions if worse else improvements).append(row)
 
     def print_rows(title, rows):

@@ -162,41 +162,83 @@ void BfsWorkspace::diropt_into(const Graph& g, NodeId source,
 
   const std::size_t words = (n + 63) / 64;
   ensure_bitmaps(words);
-  std::fill(visited_bits_.begin(), visited_bits_.begin() + words, 0u);
   // Bits >= n never enter the frontier; mask them out of "unvisited".
   const std::uint64_t tail_mask =
       (n % 64) ? ((std::uint64_t{1} << (n % 64)) - 1) : ~std::uint64_t{0};
 
   queue_.clear();
   out[source] = 0;
-  set_bit(visited_bits_, source);
   queue_.push_back(source);
 
-  std::uint64_t unexplored = 2 * g.num_edges();
-  std::uint64_t frontier_edges = g.degree(source);
+  // Beamer accounting, computed on demand. Top-down levels track only node
+  // counts; `unexplored` is exact for every node discovered before
+  // queue_[accounted], and the degrees of queue_[accounted..) are summed
+  // only when the max-degree bound cannot rule a flip out. frontier_edges is
+  // exact from a flip until the flip back.
+  const std::uint64_t total_edges = 2 * g.num_edges();
+  const std::uint64_t max_degree = g.max_degree();
+  std::uint64_t unexplored = total_edges;
+  std::size_t accounted = 0;
+  std::uint64_t frontier_edges = 0;
+  std::size_t visited_before = 0;  // nodes in levels before the current one
   std::size_t frontier_count = 1;
   std::size_t level_begin = 0;  // current level = queue_[level_begin..end)
   Dist depth = 0;
   bool bottom_up = false;
   bool growing = true;  // frontier larger than its predecessor?
+  bool bits_live = false;  // visited_bits_ opened this sweep?
 
   while (frontier_count > 0) {
     // Beamer's switch gate needs both conditions: a frontier rich in
     // out-edges AND still growing. Past the sweep's midpoint frontiers
     // shrink while unexplored edges run out, and flipping there would make
     // every tail level scan all remaining unvisited nodes fruitlessly.
-    if (!bottom_up && growing && frontier_edges > unexplored / kAlpha) {
-      // Flip to bottom-up: materialise the current level as a bitmap.
-      std::fill(front_bits_.begin(), front_bits_.begin() + words, 0u);
-      for (std::size_t i = level_begin; i < queue_.size(); ++i) {
-        set_bit(front_bits_, queue_[i]);
+    if (!bottom_up && growing) {
+      // Every degree is at most max_degree, so frontier_count * max_degree
+      // bounds the frontier's edges from above and total_edges -
+      // visited_before * max_degree bounds the unexplored edges from below.
+      // Integer division is monotone: when the bound fails, the exact test
+      // fails too. On regular graphs the bound is the exact test.
+      const std::size_t level_end = queue_.size();
+      const std::uint64_t seen_high = visited_before * max_degree;
+      const std::uint64_t unexplored_low =
+          seen_high < total_edges ? total_edges - seen_high : 0;
+      if (frontier_count * max_degree > unexplored_low / kAlpha) {
+        for (; accounted < level_begin; ++accounted) {
+          unexplored -= g.degree(queue_[accounted]);
+        }
+        frontier_edges = 0;
+        for (std::size_t i = level_begin; i < level_end; ++i) {
+          frontier_edges += g.degree(queue_[i]);
+        }
+        if (frontier_edges > unexplored / kAlpha) {
+          // Flip to bottom-up: the queue holds every node discovered since
+          // the sweep began (or since the last flip back, with the rest
+          // already in visited_bits_), the current level at its tail.
+          if (!bits_live) {
+            std::fill(visited_bits_.begin(), visited_bits_.begin() + words,
+                      0u);
+            bits_live = true;
+          }
+          std::fill(front_bits_.begin(), front_bits_.begin() + words, 0u);
+          for (std::size_t i = 0; i < level_end; ++i) {
+            set_bit(visited_bits_, queue_[i]);
+          }
+          for (std::size_t i = level_begin; i < level_end; ++i) {
+            set_bit(front_bits_, queue_[i]);
+          }
+          bottom_up = true;
+        } else {
+          unexplored -= frontier_edges;
+          accounted = level_end;
+        }
       }
-      bottom_up = true;
     }
 
     if (bottom_up) {
       // Bottom-up level: every unvisited node scans its own neighbours for a
       // frontier member and stops at the first hit.
+      ++bottom_up_levels_;
       std::fill(next_bits_.begin(), next_bits_.begin() + words, 0u);
       std::size_t next_count = 0;
       std::uint64_t next_edges = 0;
@@ -222,13 +264,15 @@ void BfsWorkspace::diropt_into(const Graph& g, NodeId source,
       // its own members as frontier candidates' "visited").
       for (std::size_t w = 0; w < words; ++w) visited_bits_[w] |= next_bits_[w];
       std::swap(front_bits_, next_bits_);
-      unexplored -= std::min<std::uint64_t>(unexplored, frontier_edges);
+      unexplored -= frontier_edges;
+      visited_before += frontier_count;
       growing = next_count > frontier_count;
       frontier_count = next_count;
       frontier_edges = next_edges;
       ++depth;
       if (frontier_count > 0 && !growing && frontier_count < n / kBeta) {
-        // Flip back: rebuild the queue from the frontier bitmap.
+        // Flip back: rebuild the queue from the frontier bitmap. unexplored
+        // is exact up to the new frontier, which now opens the queue.
         queue_.clear();
         for (std::size_t w = 0; w < words; ++w) {
           std::uint64_t bits = front_bits_[w];
@@ -239,31 +283,27 @@ void BfsWorkspace::diropt_into(const Graph& g, NodeId source,
           }
         }
         level_begin = 0;
+        accounted = 0;
         bottom_up = false;
       }
     } else {
-      // Top-down level: expand the queue slice, tracking the next level's
-      // out-edge count for the switch heuristic.
+      // Top-down level: the scalar kernel's loop, with out[] as the only
+      // visited set.
       const std::size_t level_end = queue_.size();
-      std::uint64_t next_edges = 0;
+      const Dist next_depth = depth + 1;
       for (std::size_t i = level_begin; i < level_end; ++i) {
-        const NodeId u = queue_[i];
-        const Dist du = out[u];
-        for (const NodeId v : g.neighbors(u)) {
+        for (const NodeId v : g.neighbors(queue_[i])) {
           if (out[v] == kInfDist) {
-            out[v] = du + 1;
-            set_bit(visited_bits_, v);
+            out[v] = next_depth;
             queue_.push_back(v);
-            next_edges += g.degree(v);
           }
         }
       }
-      unexplored -= std::min<std::uint64_t>(unexplored, frontier_edges);
       level_begin = level_end;
+      visited_before += frontier_count;
       const std::size_t next_count = queue_.size() - level_end;
       growing = next_count > frontier_count;
       frontier_count = next_count;
-      frontier_edges = next_edges;
       ++depth;
     }
   }

@@ -29,10 +29,18 @@
 //     when the frontier's out-edges exceed 1/alpha of the unexplored edges
 //     the sweep flips to bottom-up — every unvisited node scans its own
 //     neighbours for a frontier member and stops at the first hit — and
-//     flips back once the frontier falls under n/beta. On low-diameter
-//     families (hypercube, G(n,p)) where frontiers explode this is worth
-//     2-4x; distances are bit-identical to the scalar kernel by level
-//     synchronisation (differential-tested across all families).
+//     flips back once the frontier falls under n/beta. Top-down levels are
+//     lean: they run the scalar kernel's loop with the output as the only
+//     visited set, and keep no bitmap and no degree sums. Before each
+//     top-down level that could flip, a max-degree bound on the Beamer test
+//     decides whether a flip is possible at all; only when it is does the
+//     kernel sum the exact degrees from the queue, and it builds the
+//     bitmaps only when it actually flips. Every flip decision equals the
+//     one exact per-level accounting would make (bottom_up_levels() lets
+//     tests pin that). On low-diameter families (G(n,p), random regular)
+//     where frontiers explode the flip is worth 2-4x; distances are
+//     bit-identical to the scalar kernel by level synchronisation
+//     (differential-tested across all families).
 //
 //   * Sparse kernels (ball / eccentricity / farthest) never touch O(n)
 //     output: cost is O(|visited| + |edges scanned|) via the epoch stamps.
@@ -116,6 +124,14 @@ class BfsWorkspace {
     return sweep_tally_[static_cast<std::size_t>(kind)];
   }
 
+  /// Cumulative bottom-up levels the direction-optimizing kernel has run on
+  /// this workspace since construction — the observable surface of its flip
+  /// schedule (distances are identical under any schedule, so tests and
+  /// bench_micro's strict M1 cells pin the schedule through this count).
+  [[nodiscard]] std::uint64_t bottom_up_levels() const noexcept {
+    return bottom_up_levels_;
+  }
+
   /// Single-source distances into out (size n; unreached entries get
   /// kInfDist). radius == kInfDist runs the direction-optimizing full sweep;
   /// a finite radius runs the frontier-bounded scalar kernel (nodes farther
@@ -175,8 +191,10 @@ class BfsWorkspace {
   std::uint16_t epoch_ = 0;
   SweepKind last_sweep_kind_ = SweepKind::kNone;
   std::uint64_t sweep_tally_[4] = {0, 0, 0, 0};  // indexed by SweepKind
+  std::uint64_t bottom_up_levels_ = 0;
   std::vector<NodeId> queue_;
-  // Direction-optimizing scratch: current/next frontier and visited bitmaps.
+  // Direction-optimizing scratch: current/next frontier and visited bitmaps,
+  // filled only once a sweep flips bottom-up.
   std::vector<std::uint64_t> front_bits_, next_bits_, visited_bits_;
 };
 

@@ -33,7 +33,7 @@ TEST(ZeroAlloc, WarmWorkspaceKernelsAllocateNothing) {
   const auto g = make_grid2d(48, 48);
   BfsWorkspace ws;
   std::vector<Dist> out(g.num_nodes());
-  // Warm-up: grows the queue, stamps, and direction-optimizing bitmaps.
+  // Warm-up: grows the queue and stamps.
   ws.distances_into(g, 0, out);
   ws.distances_into_scalar(g, 0, out);
   (void)ws.ball(g, 100, 5);
@@ -49,6 +49,47 @@ TEST(ZeroAlloc, WarmWorkspaceKernelsAllocateNothing) {
   const std::uint64_t after = nav::allocation_count();
   EXPECT_EQ(after - before, 0u)
       << "a warm BfsWorkspace must perform zero heap allocations per sweep";
+}
+
+TEST(ZeroAlloc, WarmSweepsInterleavedWithSparseKernelsAllocateNothing) {
+  // The direction-optimizing sweep shares its queue with ball(),
+  // nth_in_order() and eccentricity(). Interleaved on one workspace, a warm
+  // sweep must neither re-grow nor refill that queue — on a lean sweep that
+  // never flips (grid) and on one that flips bottom-up (hypercube).
+  const auto lean = make_grid2d(48, 48);
+  const auto flips = make_hypercube(11);
+  BfsWorkspace ws;
+  std::vector<Dist> lean_out(lean.num_nodes());
+  std::vector<Dist> flip_out(flips.num_nodes());
+  auto interleave = [&](const Graph& g, std::vector<Dist>& out, NodeId s) {
+    ws.distances_into(g, s, out);
+    (void)ws.ball(g, s, 3);
+    ws.distances_into(g, s + 1, out);
+    (void)ws.nth_in_order(g, s, g.num_nodes() / 2);
+    ws.distances_into(g, s + 2, out);
+    (void)ws.eccentricity(g, s);
+  };
+  interleave(lean, lean_out, 0);  // warm-up: queue, stamps, bitmaps
+  interleave(flips, flip_out, 0);
+
+  const std::uint64_t lean_levels = ws.bottom_up_levels();
+  const std::uint64_t lean_before = nav::allocation_count();
+  for (NodeId s = 0; s < 16; ++s) interleave(lean, lean_out, s);
+  const std::uint64_t lean_after = nav::allocation_count();
+  const std::uint64_t flip_levels = ws.bottom_up_levels();
+  const std::uint64_t flip_before = nav::allocation_count();
+  for (NodeId s = 0; s < 16; ++s) interleave(flips, flip_out, s);
+  const std::uint64_t flip_after = nav::allocation_count();
+
+  EXPECT_EQ(ws.last_sweep_kind(),
+            BfsWorkspace::SweepKind::kDirectionOptimizing);
+  EXPECT_EQ(flip_levels, lean_levels) << "the grid sweeps must stay lean";
+  EXPECT_GT(ws.bottom_up_levels(), flip_levels)
+      << "the hypercube sweeps must flip bottom-up";
+  EXPECT_EQ(lean_after - lean_before, 0u)
+      << "a warm lean sweep must perform zero heap allocations";
+  EXPECT_EQ(flip_after - flip_before, 0u)
+      << "a warm flipping sweep must perform zero heap allocations";
 }
 
 TEST(ZeroAlloc, ReferenceKernelAllocatesEveryCall) {

@@ -33,6 +33,9 @@ std::vector<std::pair<std::string, Graph>> differential_graphs() {
   graphs.emplace_back("gnp", make_connected_gnp(1400, 6.0 / 1400.0, rng));
   graphs.emplace_back("random_tree", make_random_tree(1300, rng));
   graphs.emplace_back("lollipop", make_lollipop(40, 1200));
+  // Two cliques joined by a long path: a sweep from a clique flips
+  // bottom-up, flips back along the path, and flips again in the far clique.
+  graphs.emplace_back("barbell", make_barbell(45, 1000));
   graphs.emplace_back("tiny_path", make_path(5));
   // Disconnected: unreached nodes must keep kInfDist in every kernel.
   graphs.emplace_back("disconnected", Graph(1200, [] {
@@ -75,6 +78,89 @@ TEST(BfsEngine, DirectionOptimizingMatchesReference) {
       EXPECT_EQ(out, expect) << name << " source=" << s;
     }
   }
+}
+
+/// The flip schedule of exact per-level Beamer accounting, derived from the
+/// reference distances: a level runs bottom-up once a growing frontier's
+/// out-edges exceed unexplored/15, and the sweep flips back once the next
+/// frontier stops growing and falls under n/18. The kernel computes this
+/// accounting only when a max-degree bound cannot rule a flip out, and must
+/// reach exactly these decisions.
+struct FlipSchedule {
+  std::uint64_t bottom_up_levels = 0;
+  std::uint64_t flips = 0;
+};
+
+FlipSchedule exact_flip_schedule(const Graph& g, NodeId source) {
+  constexpr std::uint64_t kAlpha = 15;
+  constexpr std::uint64_t kBeta = 18;
+  const auto dist = bfs_distances_reference(g, source);
+  std::vector<std::uint64_t> count;  // nodes per level
+  std::vector<std::uint64_t> edges;  // out-edges per level
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (dist[v] == kInfDist) continue;
+    if (dist[v] >= count.size()) {
+      count.resize(dist[v] + 1, 0);
+      edges.resize(dist[v] + 1, 0);
+    }
+    ++count[dist[v]];
+    edges[dist[v]] += g.degree(v);
+  }
+  FlipSchedule schedule;
+  std::uint64_t unexplored = 2 * g.num_edges();
+  bool bottom_up = false;
+  bool growing = true;
+  for (std::size_t d = 0; d < count.size(); ++d) {
+    if (!bottom_up && growing && edges[d] > unexplored / kAlpha) {
+      bottom_up = true;
+      ++schedule.flips;
+    }
+    if (bottom_up) ++schedule.bottom_up_levels;
+    unexplored -= edges[d];
+    const std::uint64_t next = d + 1 < count.size() ? count[d + 1] : 0;
+    growing = next > count[d];
+    if (bottom_up && next > 0 && !growing && next < g.num_nodes() / kBeta) {
+      bottom_up = false;
+    }
+  }
+  return schedule;
+}
+
+TEST(BfsEngine, FlipScheduleMatchesExactAccounting) {
+  // Distances are identical under any flip schedule, so only the workspace's
+  // bottom-up level count can show a changed decision. Star, lollipop and
+  // G(n,p) are irregular, so the kernel's max-degree bound is loose there
+  // and the exact on-demand sums decide; on the regular families the bound
+  // is the exact test.
+  auto graphs = differential_graphs();
+  Rng rng(0xF11B);
+  graphs.emplace_back("hypercube12", make_hypercube(12));
+  graphs.emplace_back("random_regular",
+                      make_random_regular(4096, 16, rng));
+  graphs.emplace_back("gnp4096", make_connected_gnp(4096, 8.0 / 4096.0, rng));
+  BfsWorkspace ws;
+  std::size_t flipped_sweeps = 0;
+  std::size_t reflipped_sweeps = 0;
+  for (const auto& [name, g] : graphs) {
+    std::vector<Dist> out(g.num_nodes());
+    for (const NodeId s : sample_sources(g)) {
+      const std::uint64_t before = ws.bottom_up_levels();
+      ws.distances_into(g, s, out);
+      const std::uint64_t got = ws.bottom_up_levels() - before;
+      FlipSchedule expect;
+      if (ws.last_sweep_kind() ==
+          BfsWorkspace::SweepKind::kDirectionOptimizing) {
+        expect = exact_flip_schedule(g, s);
+      }
+      EXPECT_EQ(got, expect.bottom_up_levels) << name << " source=" << s;
+      EXPECT_EQ(out, bfs_distances_reference(g, s)) << name << " source=" << s;
+      if (expect.flips > 0) ++flipped_sweeps;
+      if (expect.flips > 1) ++reflipped_sweeps;
+    }
+  }
+  // The grid must exercise the flip, and a flip after a flip back.
+  EXPECT_GE(flipped_sweeps, 16u);
+  EXPECT_GE(reflipped_sweeps, 1u);
 }
 
 TEST(BfsEngine, BallMatchesReferenceOrderExactly) {

@@ -4,7 +4,7 @@
 Builds synthetic nav-bench-trajectory-v1 documents and checks the exit code
 and report for the cases the CI gate depends on: no change, improvement,
 strict regression, loose (wall-clock) deltas, added series, removed series,
-throughput direction, and merged-document handling.
+throughput direction, schedule counts, and merged-document handling.
 """
 
 import contextlib
@@ -110,6 +110,17 @@ class CompareBenchTest(unittest.TestCase):
         self.assertIn("routes_per_sec", out)
         # And the reverse (faster) direction passes the same gate.
         code, _ = self.run_compare(cur, base, "--loose-rel", "0.5")
+        self.assertEqual(code, 0)
+
+    def test_schedule_count_change_fails_in_both_directions(self):
+        base = make_doc([cell(bottom_up_levels=448.0)])
+        for changed in (447.0, 449.0):
+            cur = make_doc([cell(bottom_up_levels=changed)])
+            code, out = self.run_compare(base, cur)
+            self.assertEqual(code, 1, changed)
+            self.assertIn("REGRESSIONS", out)
+            self.assertIn("bottom_up_levels", out)
+        code, _ = self.run_compare(base, base)
         self.assertEqual(code, 0)
 
     def test_added_series_is_informational(self):
