@@ -11,7 +11,7 @@
 // adversarial order for an LRU and the natural order for a service fed by
 // independent clients. The per-pair baseline routes on the calling thread
 // (RouteServiceOptions::parallel = false) so its miss count is
-// deterministic; the sharded service fans out across the pool.
+// deterministic; the sharded service fans out across the worker lanes.
 #include "harness.hpp"
 
 namespace {
@@ -51,7 +51,7 @@ ModeResult run_mode(const nav::graph::Graph& g,
   const auto router = nav::routing::make_router("greedy", g, cache);
   nav::api::RouteServiceOptions options;
   options.shard_by_target = shard_by_target;
-  // The per-pair baseline runs on one lane: from pool threads its hits on
+  // The per-pair baseline runs on one lane: from worker lanes its hits on
   // the shared LRU interleave with the schedule, so its miss count would
   // depend on thread timing. Serially it is a pure function of the batch.
   options.parallel = shard_by_target;

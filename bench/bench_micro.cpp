@@ -139,7 +139,7 @@ BENCHMARK(BM_RouteBallPath)->Arg(1 << 12)->Arg(1 << 16);
 
 void BM_RouteManyBatch(benchmark::State& state) {
   // Facade batch throughput: route a block of pairs through the engine's
-  // thread pool (the api entry point big sweeps are built on).
+  // worker lanes (the api entry point big sweeps are built on).
   const auto batch = static_cast<std::size_t>(state.range(0));
   auto engine = api::NavigationEngine::from_family("torus2d", 1 << 14);
   engine.use_scheme("uniform");

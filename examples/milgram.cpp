@@ -12,7 +12,7 @@
 //   * kleinberg a=2 — the classical navigable exponent (O(log^2 n));
 //   * ball          — this paper's universal Õ(n^{1/3}) scheme.
 // All chains for one model are dispatched as a single engine.route_many
-// batch over the thread pool.
+// batch over the process-wide WorkerTeam.
 //
 // Usage: ./milgram [side=64] [chains=400]
 #include <cstdlib>

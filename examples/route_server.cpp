@@ -248,7 +248,7 @@ int main(int argc, char** argv) try {
             << ", mutations=" << mutation_spec
             << ", oracle=" << oracle_spec
             << ", faults=" << fault_spec << ", "
-            << nav::global_pool().thread_count() << " pool threads\n\n";
+            << nav::global_pool().thread_count() << " lanes\n\n";
 
   const auto report = driver.run(Rng(2026));
   std::cout << report.table().to_ascii();

@@ -4,7 +4,6 @@
 #include "graph/families.hpp"
 #include "graph/graph_io.hpp"
 #include "graph/oracle_factory.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace nav::api {
 

@@ -11,7 +11,7 @@
 //     precomputed DistanceMatrix, larger graphs an LRU TargetDistanceCache),
 //   * one augmentation scheme (registry spec or a custom SchemePtr),
 //   * one router (registry spec; "greedy" by default),
-// and exposes single routes, batch routing over the global thread pool
+// and exposes single routes, batch routing over the process-wide WorkerTeam
 // (route_many), and greedy-diameter estimation — all deterministic given the
 // caller-supplied Rng.
 #pragma once
@@ -112,9 +112,9 @@ class NavigationEngine {
                                            bool record_trace = false) const;
 
   /// Batch routing, executed through a target-sharded RouteService: pairs
-  /// sharing a target share one BFS, shards fan across the global thread
-  /// pool. Pair i uses rng.child(i), so the results are bit-identical to
-  /// sequential routing whatever the shard layout or thread count.
+  /// sharing a target share one BFS, pairs fan across the process-wide
+  /// WorkerTeam. Pair i uses rng.child(i), so the results are bit-identical
+  /// to sequential routing whatever the shard layout or thread count.
   [[nodiscard]] std::vector<routing::RouteResult> route_many(
       std::span<const std::pair<graph::NodeId, graph::NodeId>> pairs, Rng rng,
       bool parallel = true) const;

@@ -7,8 +7,8 @@
 #include "obs/trace.hpp"
 #include "resilience/fault_spec.hpp"
 #include "resilience/virtual_clock.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/timer.hpp"
+#include "runtime/worker_team.hpp"
 
 namespace nav::api {
 
@@ -168,7 +168,7 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
 
   if (!options_.shard_by_target) {
     // Legacy schedule: one job per loop index, request order, no grouping.
-    // Pool tasks are noexcept-by-policy (see thread_pool.hpp): a throwing
+    // Loop bodies are noexcept-by-policy (see worker_team.hpp): a throwing
     // route terminates the process, exactly as the pre-service route_many
     // did — this mode exists as the bench baseline, not for serving, and
     // the resilience machinery (which needs the prefetch choke point)
@@ -232,10 +232,10 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
       const std::size_t hi = std::min(shard_jobs.size(), lo + wave);
       const std::size_t slots = hi - lo;
       slot_source.assign(slots, RowSource::kPrimary);
-      // Sequential mode must stay pool-free end to end (callers may rely on
-      // it from inside a pool task), so the batched prefetch — which fans
-      // its BFS sweep across the pool — is parallel-only; inline
-      // distances_to computes the identical vectors one by one.
+      // Sequential mode stays on the calling thread end to end, so the
+      // batched prefetch — which fans its BFS sweep across the worker
+      // lanes — is parallel-only; inline distances_to computes the
+      // identical vectors one by one.
       bool wave_clean = true;
       try {
         if (parallel) {
@@ -306,7 +306,7 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
           }
         }
       }
-      // Reachability check BEFORE the fan-out: pool tasks are noexcept by
+      // Reachability check BEFORE the fan-out: loop bodies are noexcept by
       // policy, so every route precondition must be established on this
       // thread, where a throw reaches the caller (or a submit() future).
       // Under tolerate_unreachable a disconnected pair becomes a
@@ -360,7 +360,7 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
         // Pair-granular dynamic scheduling: pins are read-only and each job
         // owns its rng stream and result slot, so a hot target's shard can
         // spread across every lane without changing a bit of the results.
-        nav::parallel_for_dynamic(0, routable.size(), route_pair);
+        nav::parallel_for(0, routable.size(), route_pair);
       } else {
         for (std::size_t p = 0; p < routable.size(); ++p) route_pair(p);
       }

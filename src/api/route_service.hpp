@@ -2,7 +2,7 @@
 // prefetch.
 //
 // Engine::route_many used to hand every (source, target) pair its own child
-// stream and fire them at the thread pool in request order. Correct, but at
+// stream and fire them at the worker lanes in request order. Correct, but at
 // cache-oracle sizes (n above EngineOptions::dense_oracle_limit) a mixed
 // batch thrashes the TargetDistanceCache: each pair whose target has been
 // evicted pays a fresh BFS, so a batch with T distinct targets can cost far
@@ -14,19 +14,18 @@
 //      pinned for the wave, immune to LRU eviction),
 //   3. flatten the wave's routable pairs into one (slot, job) list in shard
 //      order, request order within a shard,
-//   4. execute that list across the thread pool with per-pair dynamic
-//      scheduling (parallel_for_dynamic), each pair routing through its
+//   4. execute that list across the process-wide WorkerTeam with per-pair
+//      dynamic scheduling (nav::parallel_for), each pair routing through its
 //      shard's pinned vector (Router::route_resolved), so the oracle is
-//      never queried from inside a pool task. Scheduling pairs rather than
+//      never queried from inside a loop body. Scheduling pairs rather than
 //      whole shards keeps every lane busy when skewed demand piles most of
 //      a batch onto one hot target; the sequential path walks the same
 //      list in order.
 //
 // Net effect: exactly one BFS per distinct target per batch, whatever the
-// cache capacity, concurrency, or request order. Like parallel_for, batch
-// execution waits on pool idleness — do not call route_batch/route_jobs/
-// estimate_diameter from inside a pool task (submit() is fine: its batches
-// run on the service's own thread).
+// cache capacity, concurrency, or request order. Batch execution follows
+// the busy-team rule (runtime/worker_team.hpp), so route_batch is safe from
+// any thread, including from inside a parallel_for body.
 //
 // Determinism is unchanged from route_many: pair i of a batch draws from
 // rng.child(i) whatever shard it lands in, and routes are pure functions of
@@ -292,8 +291,9 @@ struct ResilienceOptions {
 
 /// Execution knobs for RouteService.
 struct RouteServiceOptions {
-  /// Execute routes across the global thread pool; false routes everything
-  /// on the calling thread (still sharded, still the same results).
+  /// Execute routes across the process-wide WorkerTeam; false routes
+  /// everything on the calling thread (still sharded, still the same
+  /// results).
   bool parallel = true;
   /// Group jobs by target before executing. Disabling this reproduces the
   /// legacy per-pair route_many schedule — kept as the bench baseline
@@ -311,7 +311,7 @@ struct RouteServiceOptions {
   /// The dynamic-graph posture: edge failures can disconnect pairs mid-run,
   /// and a robustness bench wants the success *rate*, not an exception.
   /// Requires shard_by_target (checked at construction) — the legacy
-  /// schedule routes inside noexcept pool tasks where the router's own
+  /// schedule routes inside noexcept loop bodies where the router's own
   /// precondition would abort the process.
   bool tolerate_unreachable = false;
   /// Registry the service records its `route_service.*` metrics into.
@@ -418,7 +418,7 @@ class RouteService {
       Rng rng) const;
 
   /// Enqueues a batch on the service thread and returns its future. Batches
-  /// execute FIFO; each still fans its routes across the thread pool.
+  /// execute FIFO; each still fans its routes across the worker lanes.
   /// Admission applies here (see RouteServiceOptions::admission): Bounded
   /// may block the caller until the queue has room; Shed may later fail the
   /// returned future with ShedError. Throws std::invalid_argument when the
@@ -548,7 +548,7 @@ class RouteService {
   obs::HistogramHandle queue_wait_ms_hist_;
   obs::HistogramHandle exec_ms_hist_;
   // Resilience counters (`resilience.*`): written on the thread that ran
-  // execute_jobs, after the batch completes — never from pool tasks.
+  // execute_jobs, after the batch completes — never from loop bodies.
   // Registered LAZILY on the first degradation event (so a fault-free
   // service's scrape schema is unchanged); mutable because registration may
   // happen inside const execute_jobs. Adaptive handles register at

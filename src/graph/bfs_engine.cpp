@@ -5,7 +5,6 @@
 
 #include "obs/metrics.hpp"
 #include "runtime/scratch_pool.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace nav::graph {
 
@@ -443,7 +442,7 @@ BfsWorkspace& local_bfs_workspace() {
 // ---- multi-worker sweeps -------------------------------------------------
 
 std::size_t ParallelPolicy::resolved_workers() const noexcept {
-  return num_workers == 0 ? ThreadPool::default_threads() : num_workers;
+  return num_workers == 0 ? WorkerTeam::default_threads() : num_workers;
 }
 
 ParallelBfs::ParallelBfs(ParallelPolicy policy)
@@ -456,7 +455,7 @@ void ParallelBfs::ensure_capacity(std::size_t n, std::size_t words) {
     next_bits_.resize(words);
     visited_bits_.resize(words);
   }
-  const std::size_t lanes = team_.lanes();
+  const std::size_t lanes = team_.thread_count();
   if (lane_stats_.size() < lanes) lane_stats_.resize(lanes);
   if (lane_offsets_.size() < lanes + 1) lane_offsets_.resize(lanes + 1);
 }
@@ -464,7 +463,7 @@ void ParallelBfs::ensure_capacity(std::size_t n, std::size_t words) {
 void ParallelBfs::rebuild_frontier(std::size_t words, std::size_t next_count) {
   frontier_count_ = next_count;
   if (next_count == 0) return;
-  const std::size_t lanes = team_.lanes();
+  const std::size_t lanes = team_.thread_count();
   if (next_count < policy_.serial_frontier_cutoff) {
     // Small frontier: one ascending scan on the coordinating lane.
     std::size_t pos = 0;
@@ -522,7 +521,7 @@ void ParallelBfs::distances_into(const Graph& g, NodeId source,
       std::uint64_t{radius} >= std::uint64_t{n - 1}) {
     radius = kInfDist;
   }
-  const std::size_t lanes = team_.lanes();
+  const std::size_t lanes = team_.thread_count();
   if (lanes <= 1 || n < 2) {
     serial_ws_.distances_into(g, source, out, radius);
     return;
@@ -641,7 +640,7 @@ void ParallelBfs::distances_into(const Graph& g, NodeId source,
       lane_stats_[0].next_edges = edges;
     } else {
       // Top-down, frontier-chunked: lanes claim fixed-size chunks off a
-      // shared counter (the parallel_for_dynamic idiom) and claim nodes
+      // shared counter (the parallel_for idiom) and claim nodes
       // with a CAS on the output distance — the winner also publishes the
       // node into the next-frontier bitmap with an atomic fetch_or. Every
       // winner writes the same value (next_depth), so the output cannot

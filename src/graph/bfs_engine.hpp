@@ -200,7 +200,8 @@ class BfsWorkspace {
 
 /// The calling thread's pooled workspace (one per worker thread, via
 /// runtime/scratch_pool.hpp). Safe from parallel_for bodies; never hold the
-/// reference across a point where the same thread may re-enter the engine.
+/// reference across a point where the same thread may re-enter the engine —
+/// including a parallel_for whose body uses it, since lane 0 is the caller.
 [[nodiscard]] BfsWorkspace& local_bfs_workspace();
 
 // ---- multi-worker sweeps -------------------------------------------------
@@ -236,7 +237,7 @@ struct ParallelPolicy {
 ///
 /// One sweep fans its levels across policy.num_workers lanes: top-down
 /// levels are frontier-chunked (lanes claim fixed-size chunks off a shared
-/// atomic counter — the parallel_for_dynamic idiom — and claim nodes with a
+/// atomic counter — the parallel_for idiom — and claim nodes with a
 /// CAS on the output distance), bottom-up levels are range-split over a
 /// bitmap frontier (each lane owns a contiguous word range and tests 64
 /// unvisited candidates per uint64_t word, scanning each candidate's
@@ -254,14 +255,16 @@ struct ParallelPolicy {
 /// A warm instance performs zero heap allocations per sweep (scratch is
 /// grow-only, the team dispatches through raw function pointers); the only
 /// exempt moment is the lazy worker-team startup on the first parallel run.
-/// Not re-entrant: one sweep at a time per instance. Instances are safe to
-/// use from inside ThreadPool tasks (the team owns private threads).
+/// One sweep at a time per instance. Safe from inside nav::parallel_for
+/// bodies: the team is private, so its lanes never wait on the process team.
 class ParallelBfs {
  public:
   explicit ParallelBfs(ParallelPolicy policy = {});
 
   /// Lanes this instance fans out to (>= 1).
-  [[nodiscard]] std::size_t workers() const noexcept { return team_.lanes(); }
+  [[nodiscard]] std::size_t workers() const noexcept {
+    return team_.thread_count();
+  }
 
   /// The underlying fork-join team — exposed for lane-failure injection
   /// (WorkerTeam::fail_lane) in resilience tests and benches.

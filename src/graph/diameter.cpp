@@ -4,7 +4,7 @@
 
 #include "graph/bfs_engine.hpp"
 #include "graph/connectivity.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/worker_team.hpp"
 
 namespace nav::graph {
 

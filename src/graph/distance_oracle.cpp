@@ -9,7 +9,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/scratch_pool.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/worker_team.hpp"
 
 namespace nav::graph {
 
@@ -83,11 +83,11 @@ DistanceMatrix::DistanceMatrix(const Graph& g, ParallelPolicy policy,
     packed_ = std::shared_ptr<std::uint8_t[]>(
         new std::uint8_t[cells * width_bytes(width_)]);
   }
-  nav::parallel_for_dynamic(
+  nav::parallel_for(
       0, n_, [&](std::size_t t) { fill_row(g, static_cast<NodeId>(t)); },
       policy_.resolved_workers());
   check_saturation();
-  // Counted from the coordinator, not the pool workers: one shard write
+  // Counted from the coordinator, not the loop's lanes: one shard write
   // instead of n, and lane threads stay metrics-free (the warm-parallel
   // zero-allocation contract).
   oracle_metrics().matrix_rows.inc(n_);
@@ -160,7 +160,7 @@ void DistanceMatrix::rebuild_rows(const Graph& g,
   NAV_REQUIRE(g.num_nodes() == n_, "rebuild graph/matrix size mismatch");
   NAV_OBS_SPAN("oracle.rebuild_rows", "rows",
                static_cast<double>(targets.size()));
-  nav::parallel_for_dynamic(
+  nav::parallel_for(
       0, targets.size(),
       [&](std::size_t i) {
         NAV_ASSERT(targets[i] < n_);
@@ -174,7 +174,7 @@ void DistanceMatrix::rebuild_rows(const Graph& g,
 void DistanceMatrix::rebuild_all(const Graph& g) {
   NAV_REQUIRE(g.num_nodes() == n_, "rebuild graph/matrix size mismatch");
   NAV_OBS_SPAN("oracle.rebuild_all", "rows", static_cast<double>(n_));
-  nav::parallel_for_dynamic(
+  nav::parallel_for(
       0, n_, [&](std::size_t t) { fill_row(g, static_cast<NodeId>(t)); },
       policy_.resolved_workers());
   check_saturation();
@@ -579,7 +579,7 @@ void TargetDistanceCache::narrow_prefetch_into(
       static_cast<double>(scratch.missing.size()));
 
   // Pass 2 (no lock): BFS + pack each distinct miss, adaptive in the policy.
-  // Saturation is flagged (pool tasks are noexcept by policy) and thrown by
+  // Saturation is flagged (loop bodies are noexcept by policy) and thrown by
   // the coordinator after the fan-out.
   std::atomic<bool> saturated{false};
   const auto fill = [&](std::size_t k) {
@@ -591,7 +591,7 @@ void TargetDistanceCache::narrow_prefetch_into(
   };
   const std::size_t workers = policy_.resolved_workers();
   if (workers > 1 && scratch.missing.size() >= workers) {
-    nav::parallel_for_dynamic(0, scratch.missing.size(), fill, workers);
+    nav::parallel_for(0, scratch.missing.size(), fill, workers);
   } else if (workers > 1 && !scratch.missing.empty()) {
     // Narrow wave: each miss as one multi-worker sweep; packing stays on
     // the coordinator.
@@ -696,9 +696,9 @@ void TargetDistanceCache::prefetch_into(std::span<const NodeId> targets,
   fresh.resize(scratch.missing.size());
   const std::size_t workers = policy_.resolved_workers();
   if (workers > 1 && scratch.missing.size() >= workers) {
-    // Wide wave: farm whole rows across the pool, one scalar sweep each —
+    // Wide wave: farm whole rows across the lanes, one scalar sweep each —
     // this is the batched-prefetch win over miss-by-miss distances_to.
-    nav::parallel_for_dynamic(
+    nav::parallel_for(
         0, scratch.missing.size(),
         [&](std::size_t k) { fresh[k] = compute_row(scratch.missing[k]); },
         workers);

@@ -140,8 +140,8 @@ class DistanceOracle {
 /// (4-byte Dist by default; 1- or 2-byte packed rows for low-diameter
 /// graphs — see dist_slab.hpp), rows aliased or widened out of it. Built
 /// with a parallel all-source BFS sweep at construction: rows are farmed to
-/// the worker pool (capped by the policy) and the slab is handed out
-/// UNINITIALISED, so each page is first touched by the worker that
+/// the process-wide WorkerTeam (capped by the policy) and the slab is handed
+/// out UNINITIALISED, so each page is first touched by the lane that
 /// BFS-fills it — on NUMA hosts the rows land near the cores that wrote
 /// them. The policy also caps rebuild_rows/rebuild_all. Distances are
 /// level-synchronous, so the slab is byte-identical for every worker count
@@ -252,16 +252,17 @@ class TargetDistanceCache final : public DistanceOracle {
   [[nodiscard]] DistVecPtr distances_to(NodeId target) const override;
 
   /// Batched miss handling, adaptive in the policy: a wave with at least as
-  /// many distinct misses as workers farms whole rows across the global
-  /// thread pool (callers must therefore not invoke this from inside a pool
-  /// task); a narrower wave runs each miss as one multi-worker ParallelBfs
-  /// sweep instead, so a single cold target still saturates the machine.
-  /// Resident targets are bumped, not recomputed, and a warm all-hit wave
-  /// performs ZERO heap allocations (dedup runs on thread-pooled scratch,
-  /// pins are refcount copies). Returned pins outlive eviction, so a batch
-  /// larger than the capacity is still served correctly — the LRU just ends
-  /// at its capacity. (Pins in excess of the arena budget spill to plain
-  /// heap rows; they free on release rather than recycling.)
+  /// many distinct misses as workers farms whole rows across the process
+  /// team with nav::parallel_for (safe from any thread: see the busy-team
+  /// rule in runtime/worker_team.hpp); a narrower wave runs each miss as
+  /// one multi-worker ParallelBfs sweep instead, so a single cold target
+  /// still saturates the machine. Resident targets are bumped, not
+  /// recomputed, and a warm all-hit wave performs ZERO heap allocations
+  /// (dedup runs on thread-pooled scratch, pins are refcount copies).
+  /// Returned pins outlive eviction, so a batch larger than the capacity is
+  /// still served correctly — the LRU just ends at its capacity. (Pins in
+  /// excess of the arena budget spill to plain heap rows; they free on
+  /// release rather than recycling.)
   void prefetch_into(std::span<const NodeId> targets,
                      std::vector<DistVecPtr>& out) const override;
 

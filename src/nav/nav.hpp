@@ -61,8 +61,8 @@
 /// (counters/gauges/histograms, scrape() aggregation, Prometheus and JSON
 /// writers) and the NAV_TRACE span Tracer with chrome://tracing export.
 
-// runtime — deterministic RNG, stats, tables, timing, the thread pool,
-// scratch pooling and slab arenas.
+// runtime — deterministic RNG, stats, tables, timing, the WorkerTeam
+// runtime with its parallel_for loop, scratch pooling and slab arenas.
 #include "runtime/arena.hpp"
 #include "runtime/assert.hpp"
 #include "runtime/discrete_distribution.hpp"
@@ -71,8 +71,8 @@
 #include "runtime/scratch_pool.hpp"
 #include "runtime/stats.hpp"
 #include "runtime/table.hpp"
-#include "runtime/thread_pool.hpp"
 #include "runtime/timer.hpp"
+#include "runtime/worker_team.hpp"
 
 // graph — CSR graphs, generators, the family registry, real-graph
 // ingestion, distances (exact and landmark-approximate), and the

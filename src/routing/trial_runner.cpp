@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "graph/diameter.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/worker_team.hpp"
 
 namespace nav::routing {
 

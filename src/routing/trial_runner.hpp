@@ -32,7 +32,7 @@ struct TrialConfig {
   PairPolicy policy = PairPolicy::kPeripheralPlusRandom;
   std::size_t num_pairs = 24;   // random pairs (ignored for kAllPairs)
   std::size_t resamples = 16;   // augmentation redraws per pair
-  bool parallel = true;         // use the global thread pool
+  bool parallel = true;         // use the process-wide WorkerTeam
 };
 
 struct PairEstimate {

@@ -6,10 +6,12 @@
 // and reused for the lifetime of the thread. Two mechanisms, one header:
 //
 //   * thread_scratch<T>() — the per-worker-thread singleton. Each OS thread
-//     (pool workers included) lazily constructs one T and keeps it until
+//     (WorkerTeam lanes included) lazily constructs one T and keeps it until
 //     thread exit. This is the production path for BfsWorkspace: calls from
-//     nav::parallel_for bodies hit their worker's private instance with zero
-//     synchronisation.
+//     nav::parallel_for bodies hit their lane's private instance with zero
+//     synchronisation. Lane 0 is the loop's caller, so a caller must not
+//     hold an instance across a loop whose body uses the same T (and a
+//     busy-team run executes every lane on the caller; see worker_team.hpp).
 //
 //   * ScratchPool<T> — an explicit checkout pool for code that must not key
 //     scratch on thread identity (objects handed across service threads, or

@@ -4,7 +4,6 @@
 
 #include "obs/metrics.hpp"
 #include "runtime/assert.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace nav {
 
@@ -21,7 +20,7 @@ obs::Counter& team_dispatches() {
 }  // namespace
 
 WorkerTeam::WorkerTeam(std::size_t lanes)
-    : lanes_(lanes == 0 ? ThreadPool::default_threads() : lanes),
+    : lanes_(lanes == 0 ? default_threads() : lanes),
       failed_(lanes_, 0),
       gen_failed_(lanes_, 0) {}
 
@@ -34,9 +33,19 @@ WorkerTeam::~WorkerTeam() {
   for (auto& thread : threads_) thread.join();
 }
 
+std::size_t WorkerTeam::default_threads() noexcept {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
+WorkerTeam& global_pool() {
+  static WorkerTeam team;
+  return team;
+}
+
 void WorkerTeam::fail_lane(std::size_t lane, std::uint64_t after_dispatches) {
   NAV_REQUIRE(lane >= 1 && lane < lanes_,
-              "fail_lane needs a worker lane in [1, lanes())");
+              "fail_lane needs a worker lane in [1, thread_count())");
   std::lock_guard lock(mutex_);
   if (after_dispatches == 0) {
     failed_[lane] = 1;
@@ -60,6 +69,13 @@ std::size_t WorkerTeam::failed_lanes() const {
 }
 
 void WorkerTeam::run_raw(void (*fn)(void*, std::size_t), void* ctx) {
+  if (lanes_ > 1 && busy_.exchange(true, std::memory_order_acquire)) {
+    // Busy team (another thread's run, or a nested run from one of our own
+    // lane bodies): cover every lane on the caller, the same path a failed
+    // lane takes. Not a dispatch — no counter, no countdown, no wait.
+    for (std::size_t lane = 0; lane < lanes_; ++lane) fn(ctx, lane);
+    return;
+  }
   team_dispatches().inc();
   if (lanes_ <= 1) {
     fn(ctx, 0);
@@ -116,8 +132,11 @@ void WorkerTeam::run_raw(void (*fn)(void*, std::size_t), void* ctx) {
       if (gen_failed_[lane] != 0) fn(ctx, lane);
     }
   }
-  std::unique_lock lock(mutex_);
-  cv_done_.wait(lock, [this] { return remaining_ == 0; });
+  {
+    std::unique_lock lock(mutex_);
+    cv_done_.wait(lock, [this] { return remaining_ == 0; });
+  }
+  busy_.store(false, std::memory_order_release);
 }
 
 void WorkerTeam::worker_loop(std::size_t lane) {

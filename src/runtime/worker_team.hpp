@@ -1,38 +1,49 @@
-// worker_team.hpp — a persistent fork-join team for intra-kernel parallelism.
+// worker_team.hpp — the library's one parallel runtime: a persistent
+// fork-join team plus the atomic-claim index loop built on it.
 //
-// ThreadPool + parallel_for is the right tool for farming *independent* work
-// items (rows of a DistanceMatrix, shards of a batch). It is the wrong tool
-// for a parallel *kernel* — a single BFS sweep that fans out and rejoins many
-// times per call: submit() allocates a std::function per task, wait_idle()
-// waits on the whole pool (so a kernel cannot run while the pool serves other
-// work), and pool width is global rather than per-kernel.
-//
-// WorkerTeam is the complement: a fixed set of lanes (caller thread = lane 0
-// plus size()-1 private threads) that execute one body per run() call and
+// WorkerTeam is a fixed set of lanes (caller thread = lane 0 plus
+// thread_count()-1 private threads) that execute one body per run() call and
 // rejoin at an internal barrier. Dispatch is a raw function pointer + context
 // pointer — no std::function, no queue nodes — so a warm run() performs ZERO
-// heap allocations, which is what lets the parallel BFS kernels keep the
+// heap allocations, which is what lets the parallel kernels keep the
 // engine's allocation-free contract (tests/alloc). Threads start lazily on
 // the first run() that needs them ("worker-pool startup" is the one moment
 // the zero-allocation proofs exempt) and park on a condition variable
 // between runs.
 //
-// Unlike parallel_for, run() may be called from inside a ThreadPool task:
-// the team's lanes are private threads, so there is no pool-idleness wait to
-// deadlock on. A team is NOT re-entrant — one run() at a time per instance.
+// nav::parallel_for(begin, end, body) farms independent work items (rows of
+// a DistanceMatrix, pairs of a batch, resamples of a trial) over the
+// process-wide team: every lane claims the next unclaimed index from one
+// stack-held atomic counter, so a long iteration occupies one lane while the
+// rest drain the remainder. Determinism contract: body(i) must derive all
+// randomness from the index i (e.g. `rng.child(i)`) and write only slots it
+// owns by index, never key anything on thread identity. Under that contract
+// results are identical for any team width and any schedule.
+//
+// Busy-team rule: a run() that finds its team busy — another thread's run is
+// in flight, or the call comes from inside one of the team's own lane
+// bodies — executes every lane's body on the calling thread, in lane order,
+// instead of waiting. So run() and parallel_for are safe from any thread and
+// at any nesting depth: a nested or concurrent loop never deadlocks, it just
+// runs serially. Because lane 0 is the calling thread, a body may share the
+// caller's thread_scratch<T> instances: never hold a scratch instance across
+// a loop whose body uses the same type.
 //
 // Lane-failure injection (nav::resilience): fail_lane() marks a worker lane
 // failed, optionally after a countdown of dispatches (so a test can lose a
 // lane MID-sweep at a deterministic point). A failed lane still participates
 // in the barrier protocol — it latches each generation and decrements the
 // join counter — but skips the body; the coordinator (lane 0) executes the
-// skipped lane's body after its own, so every lane index in [0, lanes()) is
-// still executed exactly once per run(). Kernels whose writes are lane-owned
-// or idempotent (ParallelBfs bottom-up ranges, frontier rebuild prefix sums,
-// CAS-published depths) therefore produce BIT-IDENTICAL output with and
-// without failed lanes — only the thread that ran the range differs.
+// skipped lane's body after its own, so every lane index in
+// [0, thread_count()) is still executed exactly once per run(). Kernels
+// whose writes are lane-owned or idempotent (ParallelBfs bottom-up ranges,
+// frontier rebuild prefix sums, CAS-published depths, claim-loop slots)
+// therefore produce BIT-IDENTICAL output with and without failed lanes —
+// only the thread that ran the range differs.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -47,9 +58,9 @@ namespace nav {
 
 class WorkerTeam {
  public:
-  /// A team of `lanes` lanes (0 = one per hardware thread, minimum 1). Lane
-  /// 0 is the caller of run(); lanes-1 private threads are started lazily by
-  /// the first run() on a team wider than one lane.
+  /// A team of `lanes` lanes (0 = default_threads()). Lane 0 is the caller
+  /// of run(); lanes-1 private threads are started lazily by the first run()
+  /// on a team wider than one lane.
   explicit WorkerTeam(std::size_t lanes = 0);
 
   /// Joins the private threads (after draining any parked run).
@@ -59,32 +70,39 @@ class WorkerTeam {
   WorkerTeam& operator=(const WorkerTeam&) = delete;
 
   /// Total lanes, including the calling thread's lane 0.
-  [[nodiscard]] std::size_t lanes() const noexcept { return lanes_; }
+  [[nodiscard]] std::size_t thread_count() const noexcept { return lanes_; }
+
+  /// A sensible default width for this machine (hardware_concurrency, >= 1).
+  [[nodiscard]] static std::size_t default_threads() noexcept;
 
   /// True once the private threads have been spawned (diagnostics; the
   /// zero-allocation tests warm the team first and assert this).
   [[nodiscard]] bool started() const noexcept { return started_; }
 
-  /// Runs body(lane) on every lane in [0, lanes()) concurrently — lane 0 on
-  /// the calling thread — and returns when ALL lanes have finished (a full
-  /// barrier). `body` must not throw (lanes are noexcept-by-policy, like
-  /// pool tasks) and must not call run() on the same team. Zero heap
-  /// allocations once the threads are started.
+  /// Runs body(lane) on every lane in [0, thread_count()) concurrently —
+  /// lane 0 on the calling thread — and returns when ALL lanes have
+  /// finished (a full barrier). A busy team runs every lane on the caller
+  /// (see the header comment). `body` must not throw (lanes are
+  /// noexcept-by-policy). Zero heap allocations once the threads are
+  /// started.
   template <typename F>
   void run(F&& body) {
     using Body = std::remove_reference_t<F>;
     run_raw(
-        [](void* ctx, std::size_t lane) { (*static_cast<Body*>(ctx))(lane); },
+        [](void* ctx, std::size_t lane) noexcept {
+          (*static_cast<Body*>(ctx))(lane);
+        },
         std::addressof(body));
   }
 
-  /// Fault injection: marks worker lane `lane` (1 <= lane < lanes()) failed
-  /// once `after_dispatches` further dispatches have completed healthily
-  /// (0 = the very next run() already runs degraded). From then on the lane's body is executed by the coordinator
-  /// instead — full work coverage, bit-identical kernel output (see the
-  /// header comment). Lane 0 is the caller and cannot fail. Thread-safe;
-  /// takes effect at dispatch boundaries only, so a sweep in flight is never
-  /// torn mid-generation.
+  /// Fault injection: marks worker lane `lane` (1 <= lane < thread_count())
+  /// failed once `after_dispatches` further dispatches have completed
+  /// healthily (0 = the very next run() already runs degraded). Only real
+  /// dispatches count down; busy-team inline runs do not. From then on the
+  /// lane's body is executed by the coordinator instead — full work
+  /// coverage, bit-identical kernel output (see the header comment). Lane 0
+  /// is the caller and cannot fail. Thread-safe; takes effect at dispatch
+  /// boundaries only, so a sweep in flight is never torn mid-generation.
   void fail_lane(std::size_t lane, std::uint64_t after_dispatches = 0);
 
   /// Clears every injected lane failure (pending and active).
@@ -98,6 +116,10 @@ class WorkerTeam {
   void worker_loop(std::size_t lane);
 
   std::size_t lanes_;
+  // Set while a dispatch is in flight. An atomic flag rather than a mutex:
+  // the nested run() that must see it can come from lane 0's own thread.
+  // Its acquire/release pairs also order started_ and threads_.
+  std::atomic<bool> busy_{false};
   bool started_ = false;
   std::vector<std::thread> threads_;
 
@@ -120,5 +142,38 @@ class WorkerTeam {
   std::vector<std::pair<std::size_t, std::uint64_t>> pending_failures_;
   bool any_failed_ = false;
 };
+
+/// The process-wide team, default_threads() wide, created on first use and
+/// alive until process exit.
+WorkerTeam& global_pool();
+
+/// Runs body(i) for every i in [begin, end) over global_pool() and returns
+/// when all are done. Lanes claim indices one at a time from a shared atomic
+/// counter; lanes >= max_lanes (0 = the whole team) do no work, so a caller
+/// can honour a graph::ParallelPolicy narrower than the team. One lane or
+/// one index runs inline on the caller. Follows the determinism contract
+/// and busy-team rule of the header comment; zero heap allocations once the
+/// team is warm.
+template <typename F>
+void parallel_for(std::size_t begin, std::size_t end, F&& body,
+                  std::size_t max_lanes = 0) {
+  if (begin >= end) return;
+  WorkerTeam& team = global_pool();
+  const std::size_t lanes =
+      max_lanes == 0 ? team.thread_count()
+                     : std::min(max_lanes, team.thread_count());
+  if (lanes <= 1 || end - begin == 1) {
+    for (std::size_t i = begin; i < end; ++i) body(i);
+    return;
+  }
+  std::atomic<std::size_t> next{begin};
+  team.run([&](std::size_t lane) {
+    if (lane >= lanes) return;
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < end;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      body(i);
+    }
+  });
+}
 
 }  // namespace nav

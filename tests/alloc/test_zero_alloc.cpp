@@ -23,6 +23,7 @@
 #include "resilience/faulty_oracle.hpp"
 #include "routing/greedy_router.hpp"
 #include "runtime/alloc_counter.hpp"
+#include "runtime/worker_team.hpp"
 
 NAV_DEFINE_ALLOC_COUNTER();
 
@@ -193,6 +194,26 @@ TEST(ZeroAlloc, WarmParallelSweepAllocatesNothing) {
   const std::uint64_t after = nav::allocation_count();
   EXPECT_EQ(after - before, 0u)
       << "a warm ParallelBfs must perform zero heap allocations per sweep";
+}
+
+TEST(ZeroAlloc, WarmParallelForAllocatesNothing) {
+  // The index loop dispatches through the process team's raw function
+  // pointer with a stack-held claim counter: no std::function per task, no
+  // shared counter on the heap. Once the team's threads are started, a loop
+  // over a by-reference lambda never touches the allocator.
+  std::vector<std::uint64_t> out(4096);
+  const auto body = [&](std::size_t i) { out[i] = i * 2654435761u; };
+  nav::parallel_for(0, out.size(), body);  // warm: team startup
+  ASSERT_TRUE(nav::global_pool().thread_count() <= 1 ||
+              nav::global_pool().started());
+
+  const std::uint64_t before = nav::allocation_count();
+  for (int round = 0; round < 16; ++round) {
+    nav::parallel_for(0, out.size(), body);
+  }
+  const std::uint64_t after = nav::allocation_count();
+  EXPECT_EQ(after - before, 0u)
+      << "a warm parallel_for must perform zero heap allocations";
 }
 
 TEST(ZeroAlloc, WarmPrefetchWaveAllocatesNothing) {

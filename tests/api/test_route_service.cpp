@@ -125,6 +125,54 @@ TEST(RouteService, ShardingCutsBfsChurnAtCacheOracleSizes) {
   }
 }
 
+TEST(RouteService, ConcurrentRouteBatchCallsBitIdenticalToSerialRouting) {
+  // The class contract: safe for concurrent route_batch calls. Two threads
+  // share one parallel service over a small LRU cache, so their prefetch
+  // waves race on the cache and their pair loops race for the process team
+  // (the loser routes on its own thread). Every result must still equal
+  // plain serial routing.
+  EngineOptions engine_options;
+  engine_options.oracle_spec = "cache:8";
+  auto engine =
+      NavigationEngine::from_family("grid2d", 900, 0x5eed, engine_options);
+  engine.use_scheme("ball");
+  const std::vector<std::vector<Pair>> batches = {
+      mixed_target_pairs(engine.graph().num_nodes(), 96, 24, 11),
+      mixed_target_pairs(engine.graph().num_nodes(), 96, 24, 12)};
+  const std::vector<Rng> rngs = {Rng(21), Rng(22)};
+
+  std::vector<std::vector<routing::RouteResult>> expected(batches.size());
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    for (std::size_t i = 0; i < batches[b].size(); ++i) {
+      expected[b].push_back(engine.route(
+          batches[b][i].first, batches[b][i].second, rngs[b].child(i)));
+    }
+  }
+
+  RouteServiceOptions options;
+  options.parallel = true;
+  options.max_pinned_targets = 6;  // several prefetch waves per batch
+  const RouteService service(engine, options);
+  constexpr int kRounds = 4;
+  std::vector<std::vector<std::vector<routing::RouteResult>>> got(
+      batches.size());
+  std::vector<std::thread> callers;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    callers.emplace_back([&, b] {
+      for (int round = 0; round < kRounds; ++round) {
+        got[b].push_back(service.route_batch(batches[b], rngs[b]));
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    ASSERT_EQ(got[b].size(), static_cast<std::size_t>(kRounds));
+    for (const auto& results : got[b]) {
+      expect_same_results(results, expected[b]);
+    }
+  }
+}
+
 TEST(RouteService, WaveSplitDoesNotChangeResults) {
   // Forcing many small prefetch waves is another execution-schedule change
   // that must not move a single bit.

@@ -12,7 +12,7 @@
 #include "core/ball_scheme.hpp"
 #include "graph/bfs_engine.hpp"
 #include "graph/generators.hpp"
-#include "runtime/thread_pool.hpp"
+#include "runtime/worker_team.hpp"
 
 namespace nav::core {
 namespace {
@@ -210,7 +210,7 @@ TEST(BallPrefixDraw, ProbabilityRowConsistentWithCachedSizes) {
 }
 
 TEST(BallPrefixDraw, ConcurrentFillMatchesSerialDraws) {
-  // Pool threads race to fill one scheme's size table while drawing; every
+  // Worker lanes race to fill one scheme's size table while drawing; every
   // draw uses its own child stream, so the results must equal a serial run
   // on a fresh scheme, index for index.
   const auto g = graph::make_torus2d(24, 24);
@@ -233,8 +233,8 @@ TEST(BallPrefixDraw, ConcurrentFillMatchesSerialDraws) {
   for (int round = 0; round < 3; ++round) {
     const BallScheme shared(g);
     std::vector<NodeId> parallel(kTasks * kDraws);
-    nav::parallel_for_dynamic(
-        0, kTasks, [&](std::size_t i) { draw(shared, i, parallel); });
+    nav::parallel_for(0, kTasks,
+                      [&](std::size_t i) { draw(shared, i, parallel); });
     ASSERT_EQ(parallel, serial) << "round " << round;
   }
 }

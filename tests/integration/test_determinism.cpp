@@ -7,7 +7,6 @@
 #include "graph/families.hpp"
 #include "graph/generators.hpp"
 #include "routing/trial_runner.hpp"
-#include "runtime/thread_pool.hpp"
 
 namespace nav {
 namespace {
