@@ -1,5 +1,5 @@
 // bench_e11_service.cpp — E11: batched target-sharded routing vs per-pair
-// route_many at cache-oracle sizes.
+// routing at cache-oracle sizes.
 //
 // Claim under test: when the distance oracle is a TargetDistanceCache (n
 // above the dense-matrix limit), routing a mixed batch pair-by-pair thrashes
@@ -9,9 +9,12 @@
 //
 // The workload interleaves targets (pair i gets target i mod T), the
 // adversarial order for an LRU and the natural order for a service fed by
-// independent clients. The per-pair baseline routes on the calling thread
-// (RouteServiceOptions::parallel = false) so its miss count is
-// deterministic; the sharded service fans out across the worker lanes.
+// independent clients. The per-pair baseline submits every pair as its own
+// one-pair batch to a serial (RouteServiceOptions::parallel = false)
+// service: each batch makes one distances_to(t) call on the calling thread,
+// the access sequence of a plain Router::route loop, so its miss count is
+// deterministic. The sharded service routes the whole batch at once across
+// the worker lanes.
 #include "harness.hpp"
 
 namespace {
@@ -45,20 +48,30 @@ struct ModeResult {
 ModeResult run_mode(const nav::graph::Graph& g,
                     const nav::core::AugmentationScheme* scheme,
                     const std::vector<Pair>& pairs, std::size_t cache_capacity,
-                    bool shard_by_target) {
+                    bool per_pair) {
   // A fresh cache per mode: both start cold, neither inherits warm vectors.
   nav::graph::TargetDistanceCache cache(g, cache_capacity);
   const auto router = nav::routing::make_router("greedy", g, cache);
   nav::api::RouteServiceOptions options;
-  options.shard_by_target = shard_by_target;
   // The per-pair baseline runs on one lane: from worker lanes its hits on
   // the shared LRU interleave with the schedule, so its miss count would
   // depend on thread timing. Serially it is a pure function of the batch.
-  options.parallel = shard_by_target;
+  options.parallel = !per_pair;
   const nav::api::RouteService service(g, cache, scheme, *router, options);
+  const Rng rng(0xE11);
   nav::Timer timer;
   ModeResult mode;
-  mode.results = service.route_batch(pairs, Rng(0xE11));
+  if (per_pair) {
+    // Pair i keeps the stream route_batch would give it: rng.child(i).
+    mode.results.reserve(pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      mode.results.push_back(
+          service.route_jobs({{pairs[i].first, pairs[i].second, rng.child(i)}})
+              .front());
+    }
+  } else {
+    mode.results = service.route_batch(pairs, rng);
+  }
   mode.seconds = timer.seconds();
   mode.misses = cache.misses();
   mode.metrics = service.metrics().scrape();
@@ -96,9 +109,9 @@ int main(int argc, char** argv) {
               << "  cache capacity=" << cache_capacity << "\n";
 
     const auto per_pair =
-        run_mode(g, scheme.get(), pairs, cache_capacity, false);
-    const auto sharded =
         run_mode(g, scheme.get(), pairs, cache_capacity, true);
+    const auto sharded =
+        run_mode(g, scheme.get(), pairs, cache_capacity, false);
 
     // The whole point: execution schedule must not change a single hop count.
     for (std::size_t i = 0; i < pairs.size(); ++i) {

@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
           options.resilience.fallback_oracle = landmark.get();
           options.resilience.fallback_router = landmark_router.get();
         } else {
-          options.resilience.tolerate_faults = true;
+          options.tolerate_unreachable = true;
         }
         const api::RouteService service(g, *oracle, scheme.get(), *router,
                                         options);

@@ -205,8 +205,9 @@ int main(int argc, char** argv) try {
   // Built over the SERVING oracle: a stall fault makes it inexact, and the
   // router factory then configures the greedy descent for bound-only rows.
   const auto router = routing::make_router("greedy", g, serving);
-  // Failures may disconnect demand pairs; report them instead of aborting.
-  options.tolerate_unreachable = mutating;
+  // Failures may disconnect demand pairs, and faults may leave a target
+  // with no row; report such pairs instead of aborting.
+  options.tolerate_unreachable = mutating || faulted;
   // Degraded-mode chain for faulted runs: exact-path retries first, then a
   // landmark fallback (approximate but fault-free), and never an uncaught
   // fault — pairs whose row survives nothing are reported kFailed.
@@ -217,7 +218,6 @@ int main(int argc, char** argv) try {
     fallback_router = routing::make_router("greedy", g, *fallback_oracle);
     options.resilience.fallback_oracle = fallback_oracle.get();
     options.resilience.fallback_router = fallback_router.get();
-    options.resilience.tolerate_faults = true;
   }
   // Shed and adaptive run in virtual time here: 50us of virtual service per
   // pair makes every drop decision a pure function of the arrival schedule.
@@ -315,12 +315,16 @@ int main(int argc, char** argv) try {
               << stats.rows_rebuilt << " rows rebuilt, " << stats.full_flushes
               << " full flushes\n";
   }
-  const auto totals = service.totals();
-  std::cout << "service totals: " << totals.batches << " batches, "
-            << totals.pairs << " routes, "
-            << Table::num(totals.seconds, 2) << "s batch execution, "
-            << Table::num(static_cast<double>(totals.pairs) /
-                              std::max(totals.seconds, 1e-9),
+  // Batch count and execution time from the service's exec_ms histogram:
+  // one observation per executed batch.
+  const auto scrape = service.metrics().scrape();
+  const auto& exec_ms = *scrape.find_histogram("route_service.exec_ms");
+  const double exec_seconds = exec_ms.sum / 1000.0;
+  std::cout << "service totals: " << exec_ms.total() << " batches, "
+            << report.pairs_admitted << " routes, "
+            << Table::num(exec_seconds, 2) << "s batch execution, "
+            << Table::num(static_cast<double>(report.pairs_admitted) /
+                              std::max(exec_seconds, 1e-9),
                           0)
             << " routes/sec\n";
 

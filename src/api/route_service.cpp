@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "obs/trace.hpp"
 #include "resilience/fault_spec.hpp"
@@ -47,8 +46,6 @@ RouteService::RouteService(const graph::Graph& g,
     NAV_REQUIRE(scheme_->num_nodes() == graph_.num_nodes(),
                 "scheme/graph size mismatch");
   }
-  NAV_REQUIRE(!options_.tolerate_unreachable || options_.shard_by_target,
-              "tolerate_unreachable requires shard_by_target");
   if (options_.admission.kind == AdmissionPolicy::Kind::kAdaptive) {
     NAV_REQUIRE(options_.virtual_pair_cost_seconds > 0.0,
                 "adaptive admission needs virtual_pair_cost_seconds > 0");
@@ -161,209 +158,181 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
         "route endpoint out of range");
   }
   std::vector<routing::RouteResult> results(jobs.size());
-  std::size_t distinct_targets = 0;
-  std::size_t shards = 0;
   ResilLog resil;
   resil.status.assign(jobs.size(), DegradationStatus::kExact);
 
-  if (!options_.shard_by_target) {
-    // Legacy schedule: one job per loop index, request order, no grouping.
-    // Loop bodies are noexcept-by-policy (see worker_team.hpp): a throwing
-    // route terminates the process, exactly as the pre-service route_many
-    // did — this mode exists as the bench baseline, not for serving, and
-    // the resilience machinery (which needs the prefetch choke point)
-    // deliberately does not apply here.
-    std::unordered_set<graph::NodeId> targets;
-    for (const auto& job : jobs) targets.insert(job.target);
-    distinct_targets = targets.size();
-    shards = jobs.size();
-    auto body = [&](std::size_t i) {
-      results[i] = router_.route(jobs[i].source, jobs[i].target, scheme_,
-                                 jobs[i].rng);
-    };
-    if (parallel) {
-      nav::parallel_for(0, jobs.size(), body);
-    } else {
-      for (std::size_t i = 0; i < jobs.size(); ++i) body(i);
+  // Shard index: shard k holds the job indices of the k-th distinct target,
+  // in order of first appearance — a deterministic function of the batch.
+  std::unordered_map<graph::NodeId, std::size_t> shard_of;
+  shard_of.reserve(jobs.size());
+  std::vector<graph::NodeId> shard_target;
+  std::vector<std::vector<std::size_t>> shard_jobs;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto [it, inserted] =
+        shard_of.try_emplace(jobs[i].target, shard_target.size());
+    if (inserted) {
+      shard_target.push_back(jobs[i].target);
+      shard_jobs.emplace_back();
     }
-  } else {
-    // Shard index: shard k holds the job indices of the k-th distinct
-    // target, in order of first appearance — a deterministic function of
-    // the batch.
-    std::unordered_map<graph::NodeId, std::size_t> shard_of;
-    shard_of.reserve(jobs.size());
-    std::vector<graph::NodeId> shard_target;
-    std::vector<std::vector<std::size_t>> shard_jobs;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const auto [it, inserted] =
-          shard_of.try_emplace(jobs[i].target, shard_target.size());
-      if (inserted) {
-        shard_target.push_back(jobs[i].target);
-        shard_jobs.emplace_back();
+    shard_jobs[it->second].push_back(i);
+  }
+
+  const ResilienceOptions& rz = options_.resilience;
+  resilience::VirtualClock& vclock = resilience::global_virtual_clock();
+  const double batch_v0 = vclock.seconds();
+  const auto budget_spent = [&] {
+    return rz.batch_deadline_seconds > 0.0 &&
+           vclock.seconds() - batch_v0 > rz.batch_deadline_seconds;
+  };
+
+  // Wave by wave: prefetch the wave's distance vectors in one batch (one
+  // parallel BFS sweep over the misses, pinned past any eviction), then
+  // route every shard through its pinned vector via route_resolved — shards
+  // never touch the oracle, so exactly one BFS per distinct target
+  // regardless of cache capacity, concurrency, or batch order.
+  const std::size_t wave =
+      std::max<std::size_t>(1, options_.max_pinned_targets);
+  // One pin vector reused across waves: prefetch_into clears and refills
+  // it, so after the first wave the container itself allocates nothing.
+  std::vector<graph::DistVecPtr> pinned;
+  std::vector<RowSource> slot_source;
+  // The wave's routable (slot, job) pairs in shard order, reused across
+  // waves like `pinned`.
+  std::vector<std::pair<std::size_t, std::size_t>> routable;
+  for (std::size_t lo = 0; lo < shard_jobs.size(); lo += wave) {
+    const std::size_t hi = std::min(shard_jobs.size(), lo + wave);
+    const std::size_t slots = hi - lo;
+    slot_source.assign(slots, RowSource::kPrimary);
+    // Sequential mode stays on the calling thread end to end, so the
+    // batched prefetch — which fans its BFS sweep across the worker lanes —
+    // is parallel-only; inline distances_to computes the identical vectors
+    // one by one.
+    bool wave_clean = true;
+    try {
+      if (parallel) {
+        oracle_.prefetch_into(
+            std::span<const graph::NodeId>(shard_target).subspan(lo, slots),
+            pinned);
+      } else {
+        pinned.clear();
+        pinned.reserve(slots);
+        for (std::size_t k = lo; k < hi; ++k) {
+          pinned.push_back(oracle_.distances_to(shard_target[k]));
+        }
       }
-      shard_jobs[it->second].push_back(i);
+    } catch (const resilience::TransientOracleError&) {
+      // Partial success: a well-behaved thrower (FaultyOracle) has filled
+      // every non-failing slot already; a sequential inline loop stopped at
+      // the first failure. Normalise to one shape — slots-sized with nulls
+      // at the holes — and let the retry loop finish the job.
+      wave_clean = false;
+      pinned.resize(slots);
     }
-    distinct_targets = shard_target.size();
-    shards = shard_jobs.size();
-
-    const ResilienceOptions& rz = options_.resilience;
-    resilience::VirtualClock& vclock = resilience::global_virtual_clock();
-    const double batch_v0 = vclock.seconds();
-    const auto budget_spent = [&] {
-      return rz.batch_deadline_seconds > 0.0 &&
-             vclock.seconds() - batch_v0 > rz.batch_deadline_seconds;
-    };
-
-    // Wave by wave: prefetch the wave's distance vectors in one batch (one
-    // parallel BFS sweep over the misses, pinned past any eviction), then
-    // route every shard through its pinned vector via route_resolved —
-    // shards never touch the oracle, so exactly one BFS per distinct
-    // target regardless of cache capacity, concurrency, or batch order.
-    const std::size_t wave =
-        std::max<std::size_t>(1, options_.max_pinned_targets);
-    // One pin vector reused across waves: prefetch_into clears and refills
-    // it, so after the first wave the container itself allocates nothing.
-    std::vector<graph::DistVecPtr> pinned;
-    std::vector<RowSource> slot_source;
-    // The wave's routable (slot, job) pairs in shard order, reused across
-    // waves like `pinned`.
-    std::vector<std::pair<std::size_t, std::size_t>> routable;
-    for (std::size_t lo = 0; lo < shard_jobs.size(); lo += wave) {
-      const std::size_t hi = std::min(shard_jobs.size(), lo + wave);
-      const std::size_t slots = hi - lo;
-      slot_source.assign(slots, RowSource::kPrimary);
-      // Sequential mode stays on the calling thread end to end, so the
-      // batched prefetch — which fans its BFS sweep across the worker
-      // lanes — is parallel-only; inline distances_to computes the
-      // identical vectors one by one.
-      bool wave_clean = true;
-      try {
-        if (parallel) {
-          oracle_.prefetch_into(
-              std::span<const graph::NodeId>(shard_target).subspan(lo, slots),
-              pinned);
-        } else {
-          pinned.clear();
-          pinned.reserve(slots);
-          for (std::size_t k = lo; k < hi; ++k) {
-            pinned.push_back(oracle_.distances_to(shard_target[k]));
+    if (!wave_clean || pinned.size() != slots) {
+      pinned.resize(slots);
+      // The still-missing slots, retried as a shrinking subset with
+      // exponential VIRTUAL backoff: deterministic, never a real sleep.
+      std::vector<std::size_t> pending;
+      for (std::size_t s = 0; s < slots; ++s) {
+        if (!pinned[s]) pending.push_back(s);
+      }
+      double backoff = rz.backoff_base_seconds;
+      std::size_t round = 0;
+      while (!pending.empty() && round < rz.max_retries) {
+        if (budget_spent()) {
+          resil.deadline_breached = true;
+          break;
+        }
+        ++round;
+        ++resil.retries;
+        vclock.advance_seconds(backoff);
+        backoff *= 2.0;
+        std::vector<std::size_t> still;
+        for (const std::size_t s : pending) {
+          try {
+            pinned[s] = oracle_.distances_to(shard_target[lo + s]);
+          } catch (const resilience::TransientOracleError&) {
+            still.push_back(s);
           }
         }
-      } catch (const resilience::TransientOracleError&) {
-        // Partial success: a well-behaved thrower (FaultyOracle) has filled
-        // every non-failing slot already; a sequential inline loop stopped
-        // at the first failure. Normalise to one shape — slots-sized with
-        // nulls at the holes — and let the retry loop finish the job.
-        wave_clean = false;
-        pinned.resize(slots);
+        pending.swap(still);
       }
-      if (!wave_clean || pinned.size() != slots) {
-        pinned.resize(slots);
-        // The still-missing slots, retried as a shrinking subset with
-        // exponential VIRTUAL backoff: deterministic, never a real sleep.
-        std::vector<std::size_t> pending;
-        for (std::size_t s = 0; s < slots; ++s) {
-          if (!pinned[s]) pending.push_back(s);
-        }
-        double backoff = rz.backoff_base_seconds;
-        std::size_t round = 0;
-        while (!pending.empty() && round < rz.max_retries) {
-          if (budget_spent()) {
-            resil.deadline_breached = true;
-            break;
-          }
-          ++round;
-          ++resil.retries;
-          vclock.advance_seconds(backoff);
-          backoff *= 2.0;
-          std::vector<std::size_t> still;
+      if (!pending.empty()) {
+        if (rz.fallback_oracle != nullptr) {
           for (const std::size_t s : pending) {
-            try {
-              pinned[s] = oracle_.distances_to(shard_target[lo + s]);
-            } catch (const resilience::TransientOracleError&) {
-              still.push_back(s);
-            }
+            pinned[s] = rz.fallback_oracle->distances_to(shard_target[lo + s]);
+            slot_source[s] = RowSource::kFallback;
           }
-          pending.swap(still);
-        }
-        if (!pending.empty()) {
-          if (rz.fallback_oracle != nullptr) {
-            for (const std::size_t s : pending) {
-              pinned[s] = rz.fallback_oracle->distances_to(shard_target[lo + s]);
-              slot_source[s] = RowSource::kFallback;
-            }
-          } else if (rz.tolerate_faults) {
-            for (const std::size_t s : pending) {
-              slot_source[s] = RowSource::kNone;
-            }
-          } else {
-            std::vector<graph::NodeId> dead;
-            dead.reserve(pending.size());
-            for (const std::size_t s : pending) {
-              dead.push_back(shard_target[lo + s]);
-            }
-            throw resilience::TransientOracleError(std::move(dead));
+        } else if (options_.tolerate_unreachable) {
+          for (const std::size_t s : pending) {
+            slot_source[s] = RowSource::kNone;
           }
+        } else {
+          std::vector<graph::NodeId> dead;
+          dead.reserve(pending.size());
+          for (const std::size_t s : pending) {
+            dead.push_back(shard_target[lo + s]);
+          }
+          throw resilience::TransientOracleError(std::move(dead));
         }
       }
-      // Reachability check BEFORE the fan-out: loop bodies are noexcept by
-      // policy, so every route precondition must be established on this
-      // thread, where a throw reaches the caller (or a submit() future).
-      // Under tolerate_unreachable a disconnected pair becomes a
-      // reached = false result here and its job is excluded from routing;
-      // rowless (kNone) and fallback-sourced pairs are classified here too.
-      // Every other pair joins the wave's flat routable list.
-      routable.clear();
-      for (std::size_t k = lo; k < hi; ++k) {
-        const std::size_t s = k - lo;
-        if (slot_source[s] == RowSource::kNone) {
-          for (const std::size_t i : shard_jobs[k]) {
-            results[i].reached = false;
-            results[i].initial_distance = graph::kInfDist;
-            resil.status[i] = DegradationStatus::kFailed;
-          }
-          continue;
-        }
-        if (slot_source[s] == RowSource::kFallback) {
-          for (const std::size_t i : shard_jobs[k]) {
-            resil.status[i] = DegradationStatus::kDegraded;
-          }
-          resil.fallback_pairs += shard_jobs[k].size();
-        }
-        const auto& dist = *pinned[s];
+    }
+    // Reachability check BEFORE the fan-out: loop bodies are noexcept by
+    // policy, so every route precondition must be established on this
+    // thread, where a throw reaches the caller (or a submit() future).
+    // Under tolerate_unreachable a disconnected pair becomes a
+    // reached = false result here and its job is excluded from routing;
+    // rowless (kNone) and fallback-sourced pairs are classified here too.
+    // Every other pair joins the wave's flat routable list.
+    routable.clear();
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::size_t s = k - lo;
+      if (slot_source[s] == RowSource::kNone) {
         for (const std::size_t i : shard_jobs[k]) {
-          if (dist[jobs[i].source] != graph::kInfDist) {
-            routable.emplace_back(s, i);
-            continue;
-          }
-          NAV_REQUIRE(
-              options_.tolerate_unreachable ||
-                  slot_source[s] == RowSource::kFallback,
-              "target unreachable from source");
           results[i].reached = false;
           results[i].initial_distance = graph::kInfDist;
+          resil.status[i] = DegradationStatus::kFailed;
+        }
+        continue;
+      }
+      if (slot_source[s] == RowSource::kFallback) {
+        for (const std::size_t i : shard_jobs[k]) {
           resil.status[i] = DegradationStatus::kDegraded;
         }
+        resil.fallback_pairs += shard_jobs[k].size();
       }
-      auto route_pair = [&](std::size_t p) {
-        const auto [s, i] = routable[p];
-        const routing::Router& pair_router =
-            slot_source[s] == RowSource::kFallback &&
-                    rz.fallback_router != nullptr
-                ? *rz.fallback_router
-                : router_;
-        const graph::DistView& dist = *pinned[s];
-        results[i] = pair_router.route_resolved(
-            jobs[i].source, jobs[i].target, dist, scheme_, jobs[i].rng);
-      };
-      if (parallel) {
-        // Pair-granular dynamic scheduling: pins are read-only and each job
-        // owns its rng stream and result slot, so a hot target's shard can
-        // spread across every lane without changing a bit of the results.
-        nav::parallel_for(0, routable.size(), route_pair);
-      } else {
-        for (std::size_t p = 0; p < routable.size(); ++p) route_pair(p);
+      const auto& dist = *pinned[s];
+      for (const std::size_t i : shard_jobs[k]) {
+        if (dist[jobs[i].source] != graph::kInfDist) {
+          routable.emplace_back(s, i);
+          continue;
+        }
+        NAV_REQUIRE(options_.tolerate_unreachable ||
+                        slot_source[s] == RowSource::kFallback,
+                    "target unreachable from source");
+        results[i].reached = false;
+        results[i].initial_distance = graph::kInfDist;
+        resil.status[i] = DegradationStatus::kDegraded;
       }
+    }
+    auto route_pair = [&](std::size_t p) {
+      const auto [s, i] = routable[p];
+      const routing::Router& pair_router =
+          slot_source[s] == RowSource::kFallback &&
+                  rz.fallback_router != nullptr
+              ? *rz.fallback_router
+              : router_;
+      const graph::DistView& dist = *pinned[s];
+      results[i] = pair_router.route_resolved(jobs[i].source, jobs[i].target,
+                                              dist, scheme_, jobs[i].rng);
+    };
+    if (parallel) {
+      // Pair-granular dynamic scheduling: pins are read-only and each job
+      // owns its rng stream and result slot, so a hot target's shard can
+      // spread across every lane without changing a bit of the results.
+      nav::parallel_for(0, routable.size(), route_pair);
+    } else {
+      for (std::size_t p = 0; p < routable.size(); ++p) route_pair(p);
     }
   }
 
@@ -376,18 +345,7 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
     }
   }
 
-  const double seconds = timer.seconds();
-  exec_ms_hist_.observe(seconds * 1000.0);
-  {
-    std::lock_guard lock(report_mutex_);
-    last_report_.pairs = jobs.size();
-    last_report_.distinct_targets = distinct_targets;
-    last_report_.shards = shards;
-    last_report_.seconds = seconds;
-    ++totals_.batches;
-    totals_.pairs += jobs.size();
-    totals_.seconds += seconds;
-  }
+  exec_ms_hist_.observe(timer.seconds() * 1000.0);
   std::size_t exact = 0;
   std::size_t degraded = 0;
   std::size_t failed = 0;
@@ -416,10 +374,6 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
     report->retries = resil.retries;
     report->fallback_pairs = resil.fallback_pairs;
     report->deadline_breached = resil.deadline_breached;
-    report->batch.pairs = jobs.size();
-    report->batch.distinct_targets = distinct_targets;
-    report->batch.shards = shards;
-    report->batch.seconds = seconds;
   }
   return results;
 }
@@ -660,7 +614,8 @@ void RouteService::service_loop() {
       }
       batch.promise.set_value(std::move(results));
     } catch (...) {
-      // A bad batch (e.g. an out-of-range endpoint, or a transient fault
+      // A bad batch (an out-of-range endpoint, or — without
+      // tolerate_unreachable — an unreachable pair or a transient fault
       // that outlived its retries with no fallback configured) fails its
       // own future; the service thread lives on to serve the rest of the
       // queue.
@@ -732,16 +687,6 @@ routing::GreedyDiameterEstimate RouteService::estimate_diameter(
   out.overall_mean_steps = all.mean();
   out.trials = pairs.size() * resamples;
   return out;
-}
-
-BatchReport RouteService::last_report() const {
-  std::lock_guard lock(report_mutex_);
-  return last_report_;
-}
-
-ServiceTotals RouteService::totals() const {
-  std::lock_guard lock(report_mutex_);
-  return totals_;
 }
 
 }  // namespace nav::api

@@ -1,12 +1,11 @@
 // route_service.hpp — always-on batch routing with target-sharded oracle
 // prefetch.
 //
-// Engine::route_many used to hand every (source, target) pair its own child
-// stream and fire them at the worker lanes in request order. Correct, but at
-// cache-oracle sizes (n above EngineOptions::dense_oracle_limit) a mixed
-// batch thrashes the TargetDistanceCache: each pair whose target has been
-// evicted pays a fresh BFS, so a batch with T distinct targets can cost far
-// more than T BFS runs. RouteService closes that gap:
+// At cache-oracle sizes (n above EngineOptions::dense_oracle_limit) routing
+// a mixed batch pair by pair thrashes the TargetDistanceCache: each pair
+// whose target has been evicted pays a fresh BFS, so a batch with T distinct
+// targets can cost far more than T BFS runs. RouteService executes every
+// batch as follows:
 //
 //   1. shard the batch by target (order of first appearance),
 //   2. prefetch shard targets in waves through the oracle's batch interface
@@ -27,10 +26,14 @@
 // the busy-team rule (runtime/worker_team.hpp), so route_batch is safe from
 // any thread, including from inside a parallel_for body.
 //
-// Determinism is unchanged from route_many: pair i of a batch draws from
-// rng.child(i) whatever shard it lands in, and routes are pure functions of
-// (s, t, scheme, rng state), so the results are bit-identical to sequential
-// routing — the test suite asserts this across shard and batch splits.
+// Determinism: pair i of a batch draws from rng.child(i) whatever shard it
+// lands in, and routes are pure functions of (s, t, scheme, rng state), so
+// the results are bit-identical to routing the pairs one by one — the test
+// suite asserts this across batch and wave splits.
+//
+// Telemetry lives in one place: the `route_service.*` registry metrics
+// (metrics(), queue_stats()) for the service's lifetime, RouteReport for a
+// single batch.
 //
 // "Always-on": submit() enqueues a batch on an internal service thread and
 // returns a std::future, so a driver can keep feeding mixed-size batches
@@ -65,8 +68,7 @@
 // exponential virtual-time backoff, falls back to a degraded oracle/router
 // pair when retries or the batch's deadline budget are exhausted, and
 // reports a per-pair DegradationStatus in RouteReport. With a fault-free
-// oracle every code path below is byte-identical to the pre-resilience
-// service: the try block costs nothing until a TransientOracleError flies.
+// oracle the try block costs nothing until a TransientOracleError flies.
 #pragma once
 
 /// \file
@@ -263,7 +265,9 @@ enum class DegradationStatus : std::uint8_t {
 /// Degraded-mode knobs: what the service does when the oracle throws
 /// resilience::TransientOracleError mid-batch. Defaults keep retrying
 /// enabled everywhere (the retry loop is free when no fault fires) and the
-/// fallback chain empty.
+/// fallback chain empty. Whether a target that survives neither retries nor
+/// the fallback fails the batch or only its own pairs is
+/// RouteServiceOptions::tolerate_unreachable.
 struct ResilienceOptions {
   /// Retry rounds per prefetch wave before giving up on a target. Each
   /// round retries only the still-failing subset (the oracle's partial-
@@ -283,10 +287,6 @@ struct ResilienceOptions {
   /// Router used for fallback rows; must accept inexact distances
   /// (Router{exact = false}). nullptr falls back to the primary router.
   const routing::Router* fallback_router = nullptr;
-  /// With no fallback tier: report pairs whose target has no usable row as
-  /// DegradationStatus::kFailed (reached = false) instead of failing the
-  /// whole batch with the oracle's TransientOracleError.
-  bool tolerate_faults = false;
 };
 
 /// Execution knobs for RouteService.
@@ -295,10 +295,6 @@ struct RouteServiceOptions {
   /// everything on the calling thread (still sharded, still the same
   /// results).
   bool parallel = true;
-  /// Group jobs by target before executing. Disabling this reproduces the
-  /// legacy per-pair route_many schedule — kept as the bench baseline
-  /// (bench_e11_service) and for A/B-ing the prefetch win.
-  bool shard_by_target = true;
   /// Shards execute in waves of at most this many targets; each wave's
   /// distance vectors are prefetched in one batch and pinned for the wave's
   /// duration, bounding peak pinned memory at
@@ -306,13 +302,15 @@ struct RouteServiceOptions {
   std::size_t max_pinned_targets = 512;
   /// How submit() admits batches when demand outruns the service.
   AdmissionPolicy admission;
-  /// Report an unreachable (source, target) pair as RouteResult{reached =
-  /// false, initial_distance = kInfDist, steps = 0} instead of throwing.
-  /// The dynamic-graph posture: edge failures can disconnect pairs mid-run,
-  /// and a robustness bench wants the success *rate*, not an exception.
-  /// Requires shard_by_target (checked at construction) — the legacy
-  /// schedule routes inside noexcept loop bodies where the router's own
-  /// precondition would abort the process.
+  /// The degradation posture: report pairs the service cannot route as
+  /// RouteResult{reached = false, initial_distance = kInfDist, steps = 0}
+  /// per pair instead of failing the whole batch. A pair whose source is
+  /// unreachable on its target's row is kDegraded (std::invalid_argument
+  /// otherwise); a pair whose target has no usable row after the retries
+  /// and the fallback tier is kFailed (the oracle's TransientOracleError
+  /// otherwise). Edge failures can disconnect pairs mid-run and faults can
+  /// outlive their retries; a robustness bench wants the success *rate*,
+  /// not an exception.
   bool tolerate_unreachable = false;
   /// Registry the service records its `route_service.*` metrics into.
   /// nullptr (default) gives the service a private registry — multiple
@@ -328,19 +326,6 @@ struct RouteServiceOptions {
   double virtual_pair_cost_seconds = 0.0;
   /// Degraded-mode behaviour under transient oracle faults.
   ResilienceOptions resilience;
-};
-
-/// Telemetry for the most recent batch (route_batch / route_jobs / submit).
-struct BatchReport {
-  /// Jobs in the batch.
-  std::size_t pairs = 0;
-  /// Distinct route targets in the batch.
-  std::size_t distinct_targets = 0;
-  /// Shards the batch was split into (== distinct targets when sharding,
-  /// == pairs when not).
-  std::size_t shards = 0;
-  /// Wall-clock seconds spent executing the batch.
-  double seconds = 0.0;
 };
 
 /// A batch's results plus its per-pair degradation story — what
@@ -361,23 +346,12 @@ struct RouteReport {
   std::size_t fallback_pairs = 0;
   /// True when the batch's virtual deadline budget ran out mid-execution.
   bool deadline_breached = false;
-  /// The plain execution telemetry (same values as last_report()).
-  BatchReport batch;
-};
-
-/// Cumulative telemetry across the service's lifetime.
-struct ServiceTotals {
-  /// Batches executed so far.
-  std::size_t batches = 0;
-  /// Jobs routed so far.
-  std::size_t pairs = 0;
-  /// Wall-clock seconds spent executing batches.
-  double seconds = 0.0;
 };
 
 /// Batch routing engine over one graph + oracle + scheme + router. All
 /// referenced components must outlive the service; the service itself is
-/// immutable apart from telemetry and safe for concurrent route_batch calls.
+/// immutable apart from its metrics and safe for concurrent route_batch
+/// calls.
 class RouteService {
  public:
   /// Wraps explicit components (the Experiment per-cell path). `scheme` may
@@ -407,7 +381,7 @@ class RouteService {
       Rng rng) const;
 
   /// Core primitive: executes pre-built jobs (result i = jobs[i]), sharded
-  /// by target per the options. Used by route_batch and the estimator.
+  /// by target. Used by route_batch and the estimator.
   [[nodiscard]] std::vector<routing::RouteResult> route_jobs(
       std::vector<RouteJob> jobs) const;
 
@@ -472,12 +446,6 @@ class RouteService {
       const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs)
       const;
 
-  /// Telemetry for the most recently executed batch.
-  [[nodiscard]] BatchReport last_report() const;
-
-  /// Cumulative telemetry since construction.
-  [[nodiscard]] ServiceTotals totals() const;
-
   /// The options the service was built with (drivers read the virtual pair
   /// cost and the admission policy back).
   [[nodiscard]] const RouteServiceOptions& options() const noexcept {
@@ -521,10 +489,6 @@ class RouteService {
   const core::AugmentationScheme* scheme_;  // may be null
   const routing::Router& router_;
   RouteServiceOptions options_;
-
-  mutable std::mutex report_mutex_;
-  mutable BatchReport last_report_;
-  mutable ServiceTotals totals_;
 
   // Metric storage. The owned registry backs metrics_ unless options.metrics
   // injected an external one; handles are registered once at construction.

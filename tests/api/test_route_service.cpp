@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "api/engine.hpp"
@@ -58,13 +59,10 @@ TEST(RouteService, ShardedBatchBitIdenticalToSequentialRouting) {
   }
 
   for (const bool parallel : {false, true}) {
-    for (const bool shard : {false, true}) {
-      RouteServiceOptions options;
-      options.parallel = parallel;
-      options.shard_by_target = shard;
-      const RouteService service(engine, options);
-      expect_same_results(service.route_batch(pairs, rng), expected);
-    }
+    RouteServiceOptions options;
+    options.parallel = parallel;
+    const RouteService service(engine, options);
+    expect_same_results(service.route_batch(pairs, rng), expected);
   }
 }
 
@@ -93,33 +91,42 @@ TEST(RouteService, BatchSplitDoesNotChangeResults) {
 }
 
 TEST(RouteService, ShardingCutsBfsChurnAtCacheOracleSizes) {
-  // A small LRU + interleaved targets: per-pair order thrashes (most pairs
-  // miss), target shards pay exactly one BFS per distinct target — even in
-  // parallel and even across multiple prefetch waves, because shards route
-  // through wave-pinned vectors instead of re-querying the oracle.
+  // A small LRU + interleaved targets: one-pair batches in request order
+  // thrash (most pairs miss), target shards pay exactly one BFS per distinct
+  // target — even in parallel and even across multiple prefetch waves,
+  // because shards route through wave-pinned vectors instead of re-querying
+  // the oracle.
   Rng graph_rng(3);
   const auto g = graph::family("grid2d").make(400, graph_rng);
   const std::size_t distinct = 16;
   const auto pairs = mixed_target_pairs(g.num_nodes(), 128, distinct, 4);
 
-  const auto run = [&](bool shard, bool parallel, std::size_t wave) {
+  const auto run = [&](bool one_pair_batches, bool parallel,
+                       std::size_t wave) {
     graph::TargetDistanceCache cache(g, 4);  // capacity << distinct targets
     const auto router = routing::make_router("greedy", g, cache);
     RouteServiceOptions options;
     options.parallel = parallel;
-    options.shard_by_target = shard;
     options.max_pinned_targets = wave;
     const RouteService service(g, cache, nullptr, *router, options);
-    (void)service.route_batch(pairs, Rng(5));
+    const Rng rng(5);
+    if (one_pair_batches) {
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        (void)service.route_jobs(
+            {{pairs[i].first, pairs[i].second, rng.child(i)}});
+      }
+    } else {
+      (void)service.route_batch(pairs, rng);
+    }
     return cache.misses();
   };
 
-  const auto thrashing_misses = run(false, false, 512);
+  const auto thrashing_misses = run(true, false, 512);
   EXPECT_GT(thrashing_misses, 4 * distinct);
   for (const bool parallel : {false, true}) {
     for (const std::size_t wave : {static_cast<std::size_t>(3),
                                    static_cast<std::size_t>(512)}) {
-      EXPECT_EQ(run(true, parallel, wave), distinct)
+      EXPECT_EQ(run(false, parallel, wave), distinct)
           << "parallel=" << parallel << " wave=" << wave;
     }
   }
@@ -187,18 +194,35 @@ TEST(RouteService, WaveSplitDoesNotChangeResults) {
 }
 
 TEST(RouteService, UnreachablePairThrowsOnTheCallingThread) {
-  // Two components: reachability is checked after the wave prefetch, before
-  // the fan-out, so the throw reaches the caller (pool tasks are noexcept
-  // by policy) — and a submit() future carries it instead of terminating.
+  // Two components, tolerate_unreachable off: reachability is checked after
+  // the wave prefetch, before the fan-out, so the throw reaches the caller
+  // (pool tasks are noexcept by policy) — and a submit() future carries it
+  // instead of terminating, failing only its own batch.
   graph::Graph g(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
   graph::DistanceMatrix oracle(g);
   const auto router = routing::make_router("greedy", g, oracle);
   RouteService service(g, oracle, nullptr, *router);
   const std::vector<Pair> cross = {{0, 2}, {0, 5}};
-  EXPECT_THROW((void)service.route_batch(cross, Rng(1)),
-               std::invalid_argument);
-  auto future = service.submit(cross, Rng(1));
-  EXPECT_THROW((void)future.get(), std::invalid_argument);
+  try {
+    (void)service.route_batch(cross, Rng(1));
+    ADD_FAILURE() << "route_batch routed an unreachable pair";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("target unreachable from source"),
+              std::string::npos)
+        << error.what();
+  }
+  service.pause();  // queue both before either runs: a fixed FIFO order
+  auto bad = service.submit(cross, Rng(1));
+  auto next = service.submit({{3, 5}, {2, 0}}, Rng(2));
+  service.resume();
+  EXPECT_THROW((void)bad.get(), std::invalid_argument);
+  const auto served = next.get();
+  ASSERT_EQ(served.size(), 2u);
+  for (const auto& result : served) {
+    EXPECT_TRUE(result.reached);
+    EXPECT_EQ(result.steps, 2u);
+  }
+  EXPECT_EQ(service.queue_stats().executed_batches, 1u);
   // Same-component routing still works afterwards.
   EXPECT_EQ(service.route_batch(std::vector<Pair>{{3, 5}}, Rng(2))
                 .at(0)
@@ -271,27 +295,27 @@ TEST(RouteService, SubmitServesQueuedBatches) {
     expect_same_results(async_results,
                         service.route_batch(batches[b], Rng(b)));
   }
-  EXPECT_GE(service.totals().batches, 10u);
-  EXPECT_GT(service.totals().pairs, 0u);
-}
-
-TEST(RouteService, ReportsShardTelemetry) {
-  auto engine = NavigationEngine::from_family("path", 128);
-  const RouteService service(engine);
-  const auto pairs = mixed_target_pairs(128, 30, 5, 9);
-  (void)service.route_batch(pairs, Rng(1));
-  const auto report = service.last_report();
-  EXPECT_EQ(report.pairs, 30u);
-  EXPECT_EQ(report.distinct_targets, 5u);
-  EXPECT_EQ(report.shards, 5u);
-  EXPECT_GE(report.seconds, 0.0);
+  // Five submitted batches plus five route_batch calls, each one
+  // observation of the execution-time histogram.
+  const auto snapshot = service.metrics().scrape();
+  const auto* exec_ms = snapshot.find_histogram("route_service.exec_ms");
+  ASSERT_NE(exec_ms, nullptr);
+  EXPECT_GE(exec_ms->total(), 10u);
 }
 
 TEST(RouteService, EmptyBatch) {
   auto engine = NavigationEngine::from_family("path", 16);
   const RouteService service(engine);
   EXPECT_TRUE(service.route_batch(std::vector<Pair>{}, Rng(1)).empty());
-  EXPECT_EQ(service.last_report().shards, 0u);
+  const auto report = service.route_batch_report(std::vector<Pair>{}, Rng(1));
+  EXPECT_TRUE(report.results.empty());
+  EXPECT_TRUE(report.status.empty());
+  EXPECT_EQ(report.exact_pairs, 0u);
+  EXPECT_EQ(report.degraded_pairs, 0u);
+  EXPECT_EQ(report.failed_pairs, 0u);
+  EXPECT_EQ(report.retries, 0u);
+  EXPECT_EQ(report.fallback_pairs, 0u);
+  EXPECT_FALSE(report.deadline_breached);
 }
 
 TEST(RouteService, ExplicitPairsEstimateMatchesSelectingOverload) {

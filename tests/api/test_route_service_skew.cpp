@@ -3,7 +3,8 @@
 // phase spreads that target's pairs across lanes, and every result bit must
 // still equal the single-lane (parallel = false) run — including pairs that
 // route through a fallback-router slot and tolerated unreachable pairs
-// sharing the same wave.
+// sharing the same wave, and, with no fallback tier, rowless dead-target
+// pairs reported kFailed under the same tolerate_unreachable posture.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -47,8 +48,8 @@ graph::Graph torus_plus_path() {
 }
 
 /// An exact oracle whose `dead` targets fail every attempt — a fixed,
-/// schedule-independent fault, so the fallback tier serves them in every
-/// execution mode.
+/// schedule-independent fault, so in every execution mode the fallback tier
+/// serves them, or, without one, they fail.
 class DeadTargetOracle final : public graph::DistanceOracle {
  public:
   DeadTargetOracle(const graph::Graph& g, std::vector<NodeId> dead)
@@ -94,7 +95,7 @@ std::vector<Pair> skewed_pairs() {
 
 RouteReport run(const graph::Graph& g, const core::AugmentationScheme& scheme,
                 const std::vector<Pair>& pairs, bool parallel,
-                std::size_t max_pinned_targets) {
+                std::size_t max_pinned_targets, bool with_fallback = true) {
   // A fresh stack per run: cold caches, no state carried between modes.
   const DeadTargetOracle oracle(g, {kDead});
   const auto router = routing::make_router("greedy", g, oracle);
@@ -104,10 +105,30 @@ RouteReport run(const graph::Graph& g, const core::AugmentationScheme& scheme,
   options.parallel = parallel;
   options.max_pinned_targets = max_pinned_targets;
   options.tolerate_unreachable = true;
-  options.resilience.fallback_oracle = &fallback_oracle;
-  options.resilience.fallback_router = fallback_router.get();
+  if (with_fallback) {
+    options.resilience.fallback_oracle = &fallback_oracle;
+    options.resilience.fallback_router = fallback_router.get();
+  }
   const RouteService service(g, oracle, &scheme, *router, options);
   return service.route_batch_report(pairs, Rng(0xB0B));
+}
+
+void expect_same_report(const RouteReport& parallel, const RouteReport& serial,
+                        std::size_t wave) {
+  ASSERT_EQ(parallel.results.size(), serial.results.size());
+  for (std::size_t i = 0; i < serial.results.size(); ++i) {
+    const auto& a = parallel.results[i];
+    const auto& b = serial.results[i];
+    EXPECT_EQ(a.steps, b.steps) << "wave=" << wave << " pair " << i;
+    EXPECT_EQ(a.long_links_used, b.long_links_used) << i;
+    EXPECT_EQ(a.initial_distance, b.initial_distance) << i;
+    EXPECT_EQ(a.reached, b.reached) << i;
+  }
+  EXPECT_EQ(parallel.status, serial.status) << "wave=" << wave;
+  EXPECT_EQ(parallel.fallback_pairs, serial.fallback_pairs);
+  EXPECT_EQ(parallel.exact_pairs, serial.exact_pairs);
+  EXPECT_EQ(parallel.degraded_pairs, serial.degraded_pairs);
+  EXPECT_EQ(parallel.failed_pairs, serial.failed_pairs);
 }
 
 TEST(RouteServiceSkew, HotTargetParallelBitIdenticalToSingleLane) {
@@ -130,21 +151,53 @@ TEST(RouteServiceSkew, HotTargetParallelBitIdenticalToSingleLane) {
     ASSERT_GT(serial.exact_pairs, pairs.size() / 2);
 
     for (int round = 0; round < 3; ++round) {
-      const auto parallel = run(g, scheme, pairs, true, wave);
-      ASSERT_EQ(parallel.results.size(), serial.results.size());
-      for (std::size_t i = 0; i < pairs.size(); ++i) {
-        const auto& a = parallel.results[i];
-        const auto& b = serial.results[i];
-        EXPECT_EQ(a.steps, b.steps) << "wave=" << wave << " pair " << i;
-        EXPECT_EQ(a.long_links_used, b.long_links_used) << i;
-        EXPECT_EQ(a.initial_distance, b.initial_distance) << i;
-        EXPECT_EQ(a.reached, b.reached) << i;
+      expect_same_report(run(g, scheme, pairs, true, wave), serial, wave);
+    }
+  }
+}
+
+TEST(RouteServiceSkew, ToleratePostureWithoutFallbackReportsBothKinds) {
+  // One flag, two kinds of unroutable pair in the same batch: with no
+  // fallback tier the dead target's pairs have no row at all (kFailed),
+  // while pairs whose source sits in the other component are unreachable on
+  // a live row (kDegraded). Neither throws, and the parallel run still
+  // matches the single lane bit for bit.
+  const auto g = torus_plus_path();
+  const core::BallScheme scheme(g);
+  const auto pairs = skewed_pairs();
+
+  for (const std::size_t wave : {std::size_t{512}, std::size_t{2}}) {
+    const auto serial = run(g, scheme, pairs, false, wave, false);
+    EXPECT_EQ(serial.fallback_pairs, 0u);
+    std::size_t dead = 0;
+    std::size_t cut_off = 0;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      const auto& r = serial.results[i];
+      if (pairs[i].second == kDead) {
+        ++dead;
+        EXPECT_EQ(serial.status[i], DegradationStatus::kFailed) << i;
+        EXPECT_FALSE(r.reached) << i;
+        EXPECT_EQ(r.initial_distance, graph::kInfDist) << i;
+        EXPECT_EQ(r.steps, 0u) << i;
+      } else if (r.initial_distance == graph::kInfDist) {
+        ++cut_off;
+        EXPECT_EQ(serial.status[i], DegradationStatus::kDegraded) << i;
+        EXPECT_FALSE(r.reached) << i;
+      } else {
+        EXPECT_EQ(serial.status[i], DegradationStatus::kExact) << i;
+        EXPECT_TRUE(r.reached) << i;
       }
-      EXPECT_EQ(parallel.status, serial.status) << "wave=" << wave;
-      EXPECT_EQ(parallel.fallback_pairs, serial.fallback_pairs);
-      EXPECT_EQ(parallel.exact_pairs, serial.exact_pairs);
-      EXPECT_EQ(parallel.degraded_pairs, serial.degraded_pairs);
-      EXPECT_EQ(parallel.failed_pairs, serial.failed_pairs);
+    }
+    ASSERT_GT(dead, 0u);
+    ASSERT_GT(cut_off, 0u);
+    EXPECT_EQ(serial.failed_pairs, dead);
+    EXPECT_EQ(serial.degraded_pairs, cut_off);
+    EXPECT_EQ(serial.exact_pairs + serial.degraded_pairs + serial.failed_pairs,
+              pairs.size());
+
+    for (int round = 0; round < 3; ++round) {
+      expect_same_report(run(g, scheme, pairs, true, wave, false), serial,
+                         wave);
     }
   }
 }

@@ -65,7 +65,7 @@ TEST(ResilientService, ChaosBatchCompletesWithMostPairsServed) {
   engine.use_scheme("uniform");
   const auto pairs = mixed_pairs(400, 256, 48, 0xC0);
   RouteServiceOptions options;
-  options.resilience.tolerate_faults = true;
+  options.tolerate_unreachable = true;
   FaultedStack stack(engine, "faulty:cache:16:fail:0.05:stall:0.05:seed:5",
                      options);
 
@@ -92,7 +92,7 @@ TEST(ResilientService, SameSeedChaosRunsAreBitIdentical) {
   const auto pairs = mixed_pairs(400, 128, 32, 0xD1);
   const auto run = [&] {
     RouteServiceOptions options;
-    options.resilience.tolerate_faults = true;
+    options.tolerate_unreachable = true;
     FaultedStack stack(engine, "faulty:cache:16:fail:0.1:stall:0.1:seed:9",
                        options);
     return stack.service.route_batch_report(pairs, Rng(7));
@@ -167,12 +167,12 @@ TEST(ResilientService, DeadlineBudgetShortCircuitsToTheFallback) {
 }
 
 TEST(ResilientService, ToleratedFaultsReportFailedPairs) {
-  // No fallback tier, tolerate_faults: dead targets surface as per-pair
+  // No fallback tier, tolerate_unreachable: dead targets surface as per-pair
   // kFailed results (reached = false) instead of a thrown batch.
   auto engine = NavigationEngine::from_family("grid2d", 400);
   engine.use_scheme("uniform");
   RouteServiceOptions options;
-  options.resilience.tolerate_faults = true;
+  options.tolerate_unreachable = true;
   FaultedStack stack(engine, "faulty:cache:16:fail:1.0", options);
 
   const auto pairs = mixed_pairs(400, 12, 3, 0xA4);
