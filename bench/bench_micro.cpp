@@ -545,6 +545,94 @@ void run_landmark_stretch_cells(bench::Harness& h) {
   }
 }
 
+// ---- M5: cold ball draws --------------------------------------------------
+// Hand-timed like M1. Per family a freshly built BallScheme routes one fixed
+// seeded greedy stream against resident oracle rows, so the draws meet a
+// cold size table and the cell times the scheme, not the oracle. Strict,
+// lower-is-better counts: unbounded_entries — table entries below the
+// 2^k >= n shortcut that the landmark prefill leaves to BFS — and draws
+// (greedy samples one contact per hop). ms_per_route is loose: best of three
+// fresh schemes. path is the adversarial case: ecc(u) >= n/2 there, so the
+// bound prefills no level below the shortcut.
+void run_cold_ball_cells(bench::Harness& h) {
+  using graph::Dist;
+  using graph::NodeId;
+  const unsigned e = h.quick() ? 12 : 16;
+  const auto n = NodeId{1} << e;
+  constexpr std::size_t kTargets = 16;
+  constexpr std::size_t kRoutesPerTarget = 16;
+  constexpr int kReps = 3;
+
+  for (const std::string& family :
+       {std::string("torus2d"), std::string("gnp8"), std::string("hypercube"),
+        std::string("path")}) {
+    Rng rng(h.seed(0xB5F5) ^ e);
+    graph::Graph g;
+    if (family == "torus2d") {
+      const auto side = NodeId{1} << (e / 2);
+      g = graph::make_torus2d(side, n / side);
+    } else if (family == "gnp8") {
+      g = graph::make_connected_gnp(n, 8.0 / static_cast<double>(n), rng);
+    } else if (family == "hypercube") {
+      g = graph::make_hypercube(e);
+    } else {
+      g = graph::make_path(n);
+    }
+    graph::TargetDistanceCache oracle(g, kTargets);
+    const routing::GreedyRouter router(g, oracle);
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    Rng pair_rng(h.seed(0xB5F6) ^ e);
+    for (std::size_t j = 0; j < kTargets; ++j) {
+      const auto t = static_cast<NodeId>(random_index(pair_rng, n));
+      (void)oracle.distances_to(t);  // resident: time draws, not BFS rows
+      for (std::size_t i = 0; i < kRoutesPerTarget; ++i) {
+        pairs.emplace_back(static_cast<NodeId>(random_index(pair_rng, n)), t);
+      }
+    }
+
+    std::size_t unbounded_entries = 0;
+    std::uint64_t draws = 0;
+    double best_seconds = 0.0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      const core::BallScheme scheme(g);
+      if (rep == 0) {
+        for (NodeId u = 0; u < n; ++u) {
+          for (std::uint32_t k = 1; k <= scheme.levels(); ++k) {
+            if ((Dist{1} << k) < n && scheme.cached_ball_size(u, k) == 0) {
+              ++unbounded_entries;
+            }
+          }
+        }
+      }
+      const Rng root(h.seed(0xB5F7));
+      std::uint64_t steps = 0;
+      nav::Timer timer;
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        steps += router
+                     .route(pairs[i].first, pairs[i].second, &scheme,
+                            root.child(i))
+                     .steps;
+      }
+      const double seconds = timer.seconds();
+      if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
+      draws = steps;
+    }
+    const double ms_per_route =
+        1e3 * best_seconds / static_cast<double>(pairs.size());
+    h.add_cell({{"family", family},
+                {"kernel", std::string("cold-ball")},
+                {"n", static_cast<double>(n)},
+                {"unbounded_entries", static_cast<double>(unbounded_entries)},
+                {"draws", static_cast<double>(draws)},
+                {"ms_per_route", ms_per_route}});
+    std::printf(
+        "  %-9s n=2^%-2u cold-ball  unbounded entries %9zu  draws %6llu"
+        "  %8.3f ms/route\n",
+        family.c_str(), e, unbounded_entries,
+        static_cast<unsigned long long>(draws), ms_per_route);
+  }
+}
+
 /// ConsoleReporter plus trajectory capture: every per-iteration run becomes
 /// one harness cell keyed by benchmark name; timings and rates are loose
 /// metrics by construction.
@@ -604,6 +692,9 @@ int main(int argc, char** argv) {
   if (!list_only &&
       h.section("M4: landmark stretch (family x size x k)")) {
     run_landmark_stretch_cells(h);
+  }
+  if (!list_only && h.section("M5: cold ball draws (family)")) {
+    run_cold_ball_cells(h);
   }
   // The google-benchmark cells below are recorded section-less: their series
   // keys ({benchmark: BM_*}) predate sections and stay baseline-aligned.

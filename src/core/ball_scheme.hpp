@@ -11,14 +11,17 @@
 // is implemented by BFS from u. random_index(rng, |B|) consumes the stream
 // as a function of |B| alone, and BFS discovers nodes in an order that does
 // not depend on the radius, so the drawn contact is simply the i-th node u's
-// BFS discovers. A lazily filled size table turns that into a prefix draw:
+// BFS discovers. An n × levels table of |B_k(u)| (u32, 0 = unknown) turns
+// that into a prefix draw:
+//   * construction runs one BFS row from landmark node 0 and, on a connected
+//     graph, records n for every (u, k) with 2^k >= d(u, 0) + ecc(0) — the
+//     triangle bound ecc(u) <= d(u, 0) + ecc(0) proves B_k(u) = V there;
 //   * B_k(u) = V — 2^k >= n (connected graph) or a recorded |B_k(u)| == n —
 //     is a uniform node-id draw, random_index(rng, n), with no BFS at all;
 //   * the first draw at (u, k) runs the full radius-bounded BFS, draws from
-//     the materialised ball and records |B_k(u)| in an n × levels table of
-//     u32 (relaxed atomics; racing writers store the same value). A ball
-//     that swallows the graph records n for every level j with
-//     2^j >= ecc(u) at once;
+//     the materialised ball and records |B_k(u)| in the table (relaxed
+//     atomics; racing writers store the same value). A ball that swallows
+//     the graph records n for every level j with 2^j >= ecc(u) at once;
 //   * any other recorded size s draws i = random_index(rng, s) and stops the
 //     BFS as soon as node i is discovered (BfsWorkspace::nth_in_order), so
 //     a warm draw costs O(prefix) instead of O(|B_k(u)|).
@@ -51,9 +54,9 @@ class BallScheme final : public AugmentationScheme {
   /// |B(u, 2^k)| for k = 1..levels (index 0 unused). One full BFS.
   [[nodiscard]] std::vector<std::size_t> ball_sizes(NodeId u) const;
 
-  /// The size table's entry for (u, k): |B(u, 2^k)| once a draw has
-  /// recorded it, 0 while unknown. Draws at levels with 2^k >= n never
-  /// consult it.
+  /// The size table's entry for (u, k): |B(u, 2^k)| once the landmark
+  /// prefill or a draw has recorded it, 0 while unknown. Draws at levels
+  /// with 2^k >= n never consult it.
   [[nodiscard]] std::uint32_t cached_ball_size(NodeId u,
                                                std::uint32_t k) const;
 
@@ -72,7 +75,9 @@ class BallScheme final : public AugmentationScheme {
   const Graph& graph_;
   std::uint32_t levels_;
   /// ball_size_[u * levels_ + (k - 1)] = |B(u, 2^k)|, or 0 while unknown.
-  /// Written racily with relaxed atomics — all writers store the same value.
+  /// Prefilled with n where the landmark bound proves B_k(u) = V; written
+  /// racily with relaxed atomics afterwards — all writers store the same
+  /// value.
   mutable std::vector<std::atomic<std::uint32_t>> ball_size_;
 };
 

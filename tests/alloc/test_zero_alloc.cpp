@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/ball_scheme.hpp"
 #include "core/uniform_scheme.hpp"
 #include "graph/bfs_engine.hpp"
 #include "graph/distance_oracle.hpp"
@@ -144,6 +145,49 @@ TEST(ZeroAlloc, SteadyStateRoutingOnWarmCacheAllocatesNothing) {
   EXPECT_EQ(after - before, 0u)
       << "routing against a resident target must not touch the allocator";
   EXPECT_GT(hops, 0u);
+}
+
+TEST(ZeroAlloc, WarmBallSchemeDrawsAllocateNothing) {
+  // Once the calling thread's workspace has grown to n, a BallScheme draw
+  // allocates nothing on any path: a level the landmark bound prefilled
+  // (node-id draw), a level an earlier draw recorded (prefix draw), and a
+  // cold level (a full ball BFS that records its size).
+  const auto g = make_grid2d(32, 32);
+  const NodeId n = g.num_nodes();
+  const core::BallScheme fresh(g);  // never drawn from: the prefill alone
+  const core::BallScheme scheme(g);
+  (void)local_bfs_workspace().ball(g, 0, n);  // grows stamps and queue to n
+  Rng warm(1);
+  for (NodeId u = 0; u < n / 2; ++u) {
+    for (int d = 0; d < 4; ++d) (void)scheme.sample_contact(u, warm);
+  }
+
+  Rng rng(2);
+  std::size_t prefilled = 0, recorded = 0, cold = 0;
+  NodeId sum = 0;
+  const std::uint64_t before = nav::allocation_count();
+  for (NodeId u = 0; u < n; ++u) {
+    for (int d = 0; d < 2; ++d) {
+      Rng peek = rng;
+      const auto k = 1 + static_cast<std::uint32_t>(
+                             peek.next_below(scheme.levels()));
+      if (fresh.cached_ball_size(u, k) != 0) {
+        ++prefilled;
+      } else if (scheme.cached_ball_size(u, k) != 0) {
+        ++recorded;
+      } else {
+        ++cold;
+      }
+      sum += scheme.sample_contact(u, rng);
+    }
+  }
+  const std::uint64_t after = nav::allocation_count();
+  EXPECT_EQ(after - before, 0u)
+      << "a warm ball-scheme draw must perform zero heap allocations";
+  EXPECT_GT(prefilled, 0u);
+  EXPECT_GT(recorded, 0u);
+  EXPECT_GT(cold, 0u);
+  EXPECT_GT(sum, 0u);  // keep the loop observable
 }
 
 TEST(ZeroAlloc, ArenaRecyclingServesMissesWithoutRowAllocations) {

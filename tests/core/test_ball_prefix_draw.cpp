@@ -1,7 +1,8 @@
 // Differential coverage for the ball scheme's prefix draw: BallScheme draws
-// through a lazily filled |B(u, 2^k)| table and BfsWorkspace::nth_in_order,
-// and must stay bit-identical to a sampler that materialises every ball —
-// whether the table is cold, warm, partially warm, or filling concurrently.
+// through a landmark-prefilled, lazily filled |B(u, 2^k)| table and
+// BfsWorkspace::nth_in_order, and must stay bit-identical to a sampler that
+// materialises every ball — whether the table is cold, warm, partially warm,
+// or filling concurrently.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -129,21 +130,62 @@ TEST(BallPrefixDraw, FixedLevelVariantMatchesReference) {
 }
 
 TEST(BallPrefixDraw, CachedSizesMatchBallSizes) {
+  // Every table entry equals the true |B_k(u)|, and the draw stream must
+  // write entries beyond the landmark prefill on every graph where a fresh
+  // scheme still leaves a level below the 2^k >= n shortcut unknown. Star
+  // has none: its landmark is the centre, so ecc(u) <= 2 = 2^1 prefills
+  // every level of every node.
   for (const auto& [name, g] : sampler_graphs()) {
+    const BallScheme fresh(g);
     const BallScheme scheme(g);
     (void)scheme_stream(scheme, 5, 4);
     std::size_t recorded = 0;
+    bool unprefilled = false;
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       const auto sizes = scheme.ball_sizes(u);
       for (std::uint32_t k = 1; k <= scheme.levels(); ++k) {
+        const bool prefilled = fresh.cached_ball_size(u, k) != 0;
+        if (!prefilled && (Dist{1} << k) < g.num_nodes()) unprefilled = true;
         const std::uint32_t cached = scheme.cached_ball_size(u, k);
         if (cached == 0) continue;
-        ++recorded;
+        if (!prefilled) ++recorded;
         EXPECT_EQ(cached, sizes[k]) << name << " u=" << u << " k=" << k;
       }
     }
-    if (g.num_nodes() > 4) {
+    if (unprefilled) {
       EXPECT_GT(recorded, 0u) << name << ": the stream must fill the table";
+    }
+  }
+}
+
+TEST(BallPrefixDraw, LandmarkPrefillIsSoundAndExact) {
+  // A fresh scheme's table holds only the landmark prefill: every non-zero
+  // entry is a whole-graph ball. On vertex-transitive graphs ecc(u) =
+  // ecc(0) and d(u, 0) <= ecc(0), so every level with 2^k >= 2·ecc(u) must
+  // be prefilled; a disconnected graph has no bound and gets nothing.
+  for (const auto& [name, g] : sampler_graphs()) {
+    const BallScheme scheme(g);
+    const NodeId n = g.num_nodes();
+    const bool transitive = name == "torus2d" || name == "hypercube";
+    std::size_t prefilled = 0;
+    for (NodeId u = 0; u < n; ++u) {
+      const auto sizes = scheme.ball_sizes(u);
+      const Dist ecc = graph::local_bfs_workspace().eccentricity(g, u);
+      for (std::uint32_t k = 1; k <= scheme.levels(); ++k) {
+        const std::uint32_t cached = scheme.cached_ball_size(u, k);
+        if (transitive && (Dist{1} << k) >= 2 * ecc) {
+          EXPECT_EQ(cached, n) << name << " u=" << u << " k=" << k;
+        }
+        if (cached == 0) continue;
+        ++prefilled;
+        EXPECT_EQ(cached, n) << name << " u=" << u << " k=" << k;
+        EXPECT_EQ(cached, sizes[k]) << name << " u=" << u << " k=" << k;
+      }
+    }
+    if (name == "disconnected") {
+      EXPECT_EQ(prefilled, 0u) << "a disconnected graph has no bound";
+    } else {
+      EXPECT_GT(prefilled, 0u) << name;
     }
   }
 }
