@@ -18,6 +18,7 @@
 #include "harness.hpp"
 #include "nav/nav.hpp"
 #include "runtime/alloc_counter.hpp"
+#include "support/bfs_reference.hpp"
 
 // Counting allocator for the whole binary: the BFS-kernel cells report a
 // deterministic allocs-per-query strict metric next to their (loose)

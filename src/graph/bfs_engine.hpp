@@ -308,18 +308,4 @@ class ParallelBfs {
 /// allocate nothing; instances keep their teams and scratch warm.
 [[nodiscard]] ParallelBfs& shared_parallel_bfs();
 
-// ---- pre-engine reference implementations -------------------------------
-// The seed repo's allocating scalar kernels, kept verbatim as the
-// differential-test baseline and the bench_micro "pre-PR" comparison point.
-// New code should use BfsWorkspace (or the bfs.hpp wrappers).
-
-/// Allocating scalar BFS; bit-identical output to distances_into.
-[[nodiscard]] std::vector<Dist> bfs_distances_reference(const Graph& g,
-                                                        NodeId source,
-                                                        Dist radius = kInfDist);
-
-/// Allocating per-call-visited ball; identical order to BfsWorkspace::ball.
-[[nodiscard]] std::vector<NodeId> ball_reference(const Graph& g, NodeId center,
-                                                 Dist radius);
-
 }  // namespace nav::graph

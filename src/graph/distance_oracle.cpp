@@ -39,9 +39,9 @@ OracleMetrics& oracle_metrics() {
   return metrics;
 }
 
-// Per-thread Dist-typed staging row for narrow-width slabs: the BFS kernel
-// writes full Dist rows, which are then packed to the storage width. Grow
-// only, so warm fills allocate nothing.
+// Per-thread Dist-typed staging row for narrow-width matrix rows: the BFS
+// kernel writes full Dist rows, which are then packed to the storage width.
+// Grow only, so warm fills allocate nothing.
 struct WideRowScratch {
   std::vector<Dist> row;
 };
@@ -50,6 +50,38 @@ std::span<Dist> wide_row_scratch(std::size_t n) {
   auto& scratch = nav::thread_scratch<WideRowScratch>();
   if (scratch.row.size() < n) scratch.row.resize(n);
   return {scratch.row.data(), n};
+}
+
+/// Packs a BFS-filled staging row into its packed row. u32 rows are BFS'd
+/// in place, so there is nothing to pack. True when the row saturated.
+bool pack_staged(std::span<const Dist> staged, DistWidth width,
+                 std::uint8_t* packed) {
+  return width != DistWidth::kU32 && narrow_row(staged, width, packed);
+}
+
+/// A Dist handle over one packed row: at u32 the row itself (aliasing
+/// `owner`, no copy), at narrow widths a private widened copy.
+template <typename Owner>
+DistVecPtr packed_row_view(const Owner& owner, const std::uint8_t* row,
+                           DistWidth width, std::size_t n) {
+  if (width == DistWidth::kU32) {
+    return {std::shared_ptr<const Dist>(owner,
+                                        reinterpret_cast<const Dist*>(row)),
+            n};
+  }
+  std::shared_ptr<Dist> copy(new Dist[n], std::default_delete<Dist[]>());
+  widen_row(row, width, {copy.get(), n});
+  return {std::move(copy), n};
+}
+
+/// A heap row for a pin past the arena's slot budget. Correctness never
+/// depends on the arena having room; the counter costs nothing extra, since
+/// the row itself already left the zero-allocation path.
+template <typename T>
+std::shared_ptr<T> spill_row(const SlabArena<T>& arena) {
+  oracle_metrics().pin_spills.inc();
+  return std::shared_ptr<T>(new T[arena.slot_size()],
+                            std::default_delete<T[]>());
 }
 
 [[noreturn]] void throw_width_saturated(DistWidth width) {
@@ -77,12 +109,8 @@ DistanceMatrix::DistanceMatrix(const Graph& g, ParallelPolicy policy,
   // is BFS-filled below, and skipping the zero pass means the first touch of
   // each row happens on the worker that computes it — on NUMA hosts the
   // pages land near that worker's socket.
-  if (width_ == DistWidth::kU32) {
-    slab_ = std::shared_ptr<Dist[]>(new Dist[cells]);
-  } else {
-    packed_ = std::shared_ptr<std::uint8_t[]>(
-        new std::uint8_t[cells * width_bytes(width_)]);
-  }
+  slab_ = std::shared_ptr<std::uint8_t[]>(
+      new std::uint8_t[cells * width_bytes(width_)]);
   nav::parallel_for(
       0, n_, [&](std::size_t t) { fill_row(g, static_cast<NodeId>(t)); },
       policy_.resolved_workers());
@@ -93,22 +121,24 @@ DistanceMatrix::DistanceMatrix(const Graph& g, ParallelPolicy policy,
   oracle_metrics().matrix_rows.inc(n_);
 }
 
+std::uint8_t* DistanceMatrix::row(NodeId target) const noexcept {
+  return slab_.get() +
+         static_cast<std::size_t>(target) * n_ * width_bytes(width_);
+}
+
 void DistanceMatrix::fill_row(const Graph& g, NodeId target) {
   const std::size_t n = n_;
-  if (width_ == DistWidth::kU32) {
-    // Each worker reuses its pooled workspace; rows are disjoint slab slices.
-    local_bfs_workspace().distances_into(
-        g, target, {slab_.get() + static_cast<std::size_t>(target) * n, n});
-    return;
-  }
-  // Narrow storage: BFS into the thread's Dist staging row, then pack it.
-  // Saturation is flagged, not thrown — workers must not throw across the
-  // parallel_for; the coordinator turns the flag into an error.
-  const std::span<Dist> wide = wide_row_scratch(n);
-  local_bfs_workspace().distances_into(g, target, wide);
-  if (narrow_row(wide, width_,
-                 packed_.get() +
-                     static_cast<std::size_t>(target) * n * width_bytes(width_))) {
+  std::uint8_t* const packed = row(target);
+  // Each worker reuses its pooled workspace; rows are disjoint slab slices.
+  // u32 rows are BFS-filled in place, narrow rows stage in the thread's Dist
+  // row and pack. Saturation is flagged, not thrown — workers must not throw
+  // across the parallel_for; the coordinator turns the flag into an error.
+  const std::span<Dist> staged =
+      width_ == DistWidth::kU32
+          ? std::span<Dist>{reinterpret_cast<Dist*>(packed), n}
+          : wide_row_scratch(n);
+  local_bfs_workspace().distances_into(g, target, staged);
+  if (pack_staged(staged, width_, packed)) {
     saturated_.store(true, std::memory_order_relaxed);
   }
 }
@@ -121,38 +151,20 @@ void DistanceMatrix::check_saturation() const {
 
 Dist DistanceMatrix::distance(NodeId u, NodeId target) const {
   NAV_ASSERT(u < n_ && target < n_);
-  if (width_ == DistWidth::kU32) {
-    return slab_[static_cast<std::size_t>(target) * n_ + u];
-  }
-  return widen_entry(
-      packed_.get() + static_cast<std::size_t>(target) * n_ * width_bytes(width_),
-      width_, u);
+  return widen_entry(row(target), width_, u);
 }
 
 DistVecPtr DistanceMatrix::distances_to(NodeId target) const {
   NAV_ASSERT(target < n_);
-  if (width_ == DistWidth::kU32) {
-    // Aliasing handle: pins the whole slab, views one row.
-    return {std::shared_ptr<const Dist>(
-                slab_, slab_.get() + static_cast<std::size_t>(target) * n_),
-            n_};
-  }
-  // Narrow storage keeps no Dist rows: materialise a widened copy. Point
-  // queries should use distance(), which reads packed entries in place.
-  const std::size_t n = n_;
-  std::shared_ptr<Dist> row(new Dist[n], std::default_delete<Dist[]>());
-  widen_row(packed_.get() + static_cast<std::size_t>(target) * n * width_bytes(width_),
-            width_, {row.get(), n});
-  return {std::move(row), n};
+  // u32: an aliasing handle that pins the whole slab and views one row.
+  // Narrow: a widened copy — point queries should use distance(), which
+  // reads packed entries in place.
+  return packed_row_view(slab_, row(target), width_, n_);
 }
 
 std::span<const std::uint8_t> DistanceMatrix::packed_slab() const noexcept {
-  const std::size_t cells = static_cast<std::size_t>(n_) * n_;
-  if (width_ == DistWidth::kU32) {
-    return {reinterpret_cast<const std::uint8_t*>(slab_.get()),
-            cells * sizeof(Dist)};
-  }
-  return {packed_.get(), cells * width_bytes(width_)};
+  return {slab_.get(),
+          static_cast<std::size_t>(n_) * n_ * width_bytes(width_)};
 }
 
 void DistanceMatrix::rebuild_rows(const Graph& g,
@@ -188,18 +200,14 @@ TargetDistanceCache::TargetDistanceCache(const Graph& g, std::size_t capacity,
       capacity_(capacity == 0 ? 1 : capacity),
       policy_(policy),
       width_(width),
-      // u32: one Dist-row slot per resident entry plus a spare (a miss on a
-      // full cache computes its row BEFORE evicting, so without the spare
-      // every such miss would spill to the heap). Narrow: the Dist arena is
-      // only the widened window; packed_arena_ carries the capacity.
-      arena_(width == DistWidth::kU32
-                 ? capacity_ + 1
-                 : std::min(capacity_, kWideWindow) + 1,
-             g.num_nodes()) {
+      // One packed row per resident entry plus a spare: a miss on a full
+      // cache computes its row BEFORE evicting, so without the spare every
+      // such miss would spill to the heap.
+      arena_(capacity_ + 1,
+             static_cast<std::size_t>(g.num_nodes()) * width_bytes(width)) {
+  // u32 rows are read in place; only narrow widths need widened copies.
   if (width_ != DistWidth::kU32) {
-    packed_arena_.emplace(
-        capacity_ + 1,
-        static_cast<std::size_t>(g.num_nodes()) * width_bytes(width_));
+    window_.emplace(std::min(capacity_, kWideWindow) + 1, g.num_nodes());
   }
 }
 
@@ -210,11 +218,6 @@ TargetDistanceCache::TargetDistanceCache(const Graph& g, MemoryBudget budget,
                           policy, width) {}
 
 std::size_t TargetDistanceCache::capacity_for_budget(MemoryBudget budget,
-                                                     NodeId n) noexcept {
-  return capacity_for_budget(budget, n, DistWidth::kU32);
-}
-
-std::size_t TargetDistanceCache::capacity_for_budget(MemoryBudget budget,
                                                      NodeId n,
                                                      DistWidth width) noexcept {
   const std::size_t vector_bytes = std::max<std::size_t>(
@@ -223,7 +226,6 @@ std::size_t TargetDistanceCache::capacity_for_budget(MemoryBudget budget,
 }
 
 Dist TargetDistanceCache::distance(NodeId u, NodeId target) const {
-  if (width_ == DistWidth::kU32) return (*distances_to(target))[u];
   NAV_ASSERT(u < graph_.num_nodes() && target < graph_.num_nodes());
   {
     std::lock_guard lock(mutex_);
@@ -232,83 +234,63 @@ Dist TargetDistanceCache::distance(NodeId u, NodeId target) const {
       ++hits_;
       oracle_metrics().hits.inc();
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      // Point query straight off the packed row: no widening, no
-      // allocation — the narrow cache's fast path.
+      // Point query straight off the packed row: no widening, no pin, no
+      // allocation.
       return widen_entry(it->second.packed.get(), width_, u);
     }
   }
-  return (*narrow_distances_to(target))[u];
+  return (*distances_to(target))[u];
 }
 
-std::shared_ptr<Dist> TargetDistanceCache::acquire_slot() const {
+bool TargetDistanceCache::windowed(const Entry& entry) const noexcept {
+  return width_ != DistWidth::kU32 && entry.distances != nullptr;
+}
+
+std::shared_ptr<std::uint8_t> TargetDistanceCache::acquire_packed() const {
   // Steady state: a recycled arena slot (O(1) control-block bookkeeping).
-  // When every slot is pinned (a prefetch wave larger than the budget),
-  // spill to a plain heap row — correctness never depends on the arena
-  // having room.
-  std::shared_ptr<Dist> row = arena_.try_acquire();
-  if (row == nullptr) {
-    const std::size_t n = graph_.num_nodes();
-    row = std::shared_ptr<Dist>(new Dist[n], std::default_delete<Dist[]>());
-    // Already off the zero-allocation path (the row itself came from the
-    // heap), so the counter costs nothing extra.
-    oracle_metrics().pin_spills.inc();
+  std::shared_ptr<std::uint8_t> slot = arena_.try_acquire();
+  return slot != nullptr ? slot : spill_row(arena_);
+}
+
+std::shared_ptr<Dist> TargetDistanceCache::staging_row_locked(
+    const std::shared_ptr<std::uint8_t>& packed) const {
+  // u32: the BFS writes the packed row itself, which is then read in place.
+  if (width_ == DistWidth::kU32) {
+    return {packed, reinterpret_cast<Dist*>(packed.get())};
   }
-  return row;
-}
-
-DistVecPtr TargetDistanceCache::compute_row(NodeId target) const {
-  const std::size_t n = graph_.num_nodes();
-  std::shared_ptr<Dist> row = acquire_slot();
-  local_bfs_workspace().distances_into(graph_, target, {row.get(), n});
-  return {std::move(row), n};
-}
-
-DistVecPtr TargetDistanceCache::compute_row_with(ParallelBfs& engine,
-                                                 NodeId target) const {
-  const std::size_t n = graph_.num_nodes();
-  std::shared_ptr<Dist> row = acquire_slot();
-  engine.distances_into(graph_, target, {row.get(), n});
-  return {std::move(row), n};
-}
-
-// ---- narrow-width internals -----------------------------------------------
-
-std::shared_ptr<Dist> TargetDistanceCache::acquire_wide_locked() const {
-  std::shared_ptr<Dist> slot = arena_.try_acquire();
+  // Narrow: a wide-window slot. When the window is full, drop the
+  // least-recently-widened copy; its slot recycles immediately unless a
+  // caller still pins the row — then the drop frees nothing and the loop
+  // moves to the next victim.
+  std::shared_ptr<Dist> slot = window_->try_acquire();
   while (slot == nullptr && !wide_lru_.empty()) {
-    // Window full: drop the least-recently-widened copy. Its slot recycles
-    // immediately unless a caller still pins the row — then the drop frees
-    // nothing and the loop moves to the next victim.
     const NodeId victim = wide_lru_.back();
     wide_lru_.pop_back();
     const auto it = cache_.find(victim);
     NAV_ASSERT(it != cache_.end());
     it->second.distances = DistVecPtr{};
-    slot = arena_.try_acquire();
+    slot = window_->try_acquire();
   }
-  if (slot == nullptr) {
-    slot = std::shared_ptr<Dist>(new Dist[graph_.num_nodes()],
-                                 std::default_delete<Dist[]>());
-    oracle_metrics().pin_spills.inc();
-  }
-  return slot;
+  return slot != nullptr ? slot : spill_row(*window_);
 }
 
-std::shared_ptr<std::uint8_t> TargetDistanceCache::acquire_packed() const {
-  std::shared_ptr<std::uint8_t> slot = packed_arena_->try_acquire();
-  if (slot == nullptr) {
-    slot = std::shared_ptr<std::uint8_t>(
-        new std::uint8_t[packed_arena_->slot_size()],
-        std::default_delete<std::uint8_t[]>());
-    oracle_metrics().pin_spills.inc();
+DistVecPtr TargetDistanceCache::serve_locked(NodeId target,
+                                             Entry& entry) const {
+  lru_.splice(lru_.begin(), lru_, entry.lru_it);
+  if (windowed(entry)) {
+    wide_lru_.splice(wide_lru_.begin(), wide_lru_, entry.wide_it);
   }
-  return slot;
+  return resident_row_locked(target, entry);
 }
 
-DistVecPtr TargetDistanceCache::ensure_wide_locked(NodeId target,
-                                                   Entry& entry) const {
-  std::shared_ptr<Dist> wide = acquire_wide_locked();
+DistVecPtr TargetDistanceCache::resident_row_locked(NodeId target,
+                                                    Entry& entry) const {
+  // u32 and wide-resident rows: a refcount copy, zero allocations.
+  if (entry.distances != nullptr) return entry.distances;
+  // Packed-only narrow row: widen it into the window under the lock (an
+  // O(n) decode — much cheaper than the BFS a miss would pay).
   const std::size_t n = graph_.num_nodes();
+  std::shared_ptr<Dist> wide = staging_row_locked(entry.packed);
   widen_row(entry.packed.get(), width_, {wide.get(), n});
   entry.distances = DistVecPtr{std::move(wide), n};
   wide_lru_.push_front(target);
@@ -316,111 +298,67 @@ DistVecPtr TargetDistanceCache::ensure_wide_locked(NodeId target,
   return entry.distances;
 }
 
-DistVecPtr TargetDistanceCache::install_narrow_locked(
-    NodeId target, std::shared_ptr<Dist> wide,
+DistVecPtr TargetDistanceCache::install_locked(
+    NodeId target, std::shared_ptr<Dist> row,
     std::shared_ptr<std::uint8_t> packed) const {
-  const std::size_t n = graph_.num_nodes();
   lru_.push_front(target);
-  Entry entry;
-  entry.lru_it = lru_.begin();
-  entry.distances = DistVecPtr{std::move(wide), n};
-  entry.packed = std::move(packed);
-  wide_lru_.push_front(target);
-  entry.wide_it = wide_lru_.begin();
+  Entry entry{lru_.begin(), std::move(packed),
+              DistVecPtr{std::move(row), graph_.num_nodes()}, {}};
+  if (windowed(entry)) {
+    wide_lru_.push_front(target);
+    entry.wide_it = wide_lru_.begin();
+  }
   DistVecPtr result = entry.distances;
   cache_.emplace(target, std::move(entry));
-  const std::size_t evicted = evict_overflow_locked();
-  if (evicted > 0) oracle_metrics().evictions.inc(evicted);
   return result;
 }
 
-std::size_t TargetDistanceCache::evict_overflow_locked() const {
+void TargetDistanceCache::evict_overflow_locked() const {
   std::size_t evicted = 0;
   while (cache_.size() > capacity_) {
     const NodeId victim = lru_.back();
     lru_.pop_back();
     const auto it = cache_.find(victim);
-    if (it->second.distances != nullptr) wide_lru_.erase(it->second.wide_it);
+    if (windowed(it->second)) wide_lru_.erase(it->second.wide_it);
     cache_.erase(it);  // slots recycle once the last pins drop
     ++evicted;
   }
-  return evicted;
-}
-
-void TargetDistanceCache::throw_saturated() const {
-  throw_width_saturated(width_);
-}
-
-DistVecPtr TargetDistanceCache::narrow_distances_to(NodeId target) const {
-  NAV_ASSERT(target < graph_.num_nodes());
-  const std::size_t n = graph_.num_nodes();
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = cache_.find(target);
-    if (it != cache_.end()) {
-      ++hits_;
-      oracle_metrics().hits.inc();
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      if (it->second.distances != nullptr) {
-        // Wide-resident hit: a refcount copy, zero allocations.
-        wide_lru_.splice(wide_lru_.begin(), wide_lru_, it->second.wide_it);
-        return it->second.distances;
-      }
-      // Packed-only hit: widen into the window under the lock (an O(n)
-      // decode — much cheaper than the BFS a miss would pay).
-      return ensure_wide_locked(target, it->second);
-    }
-    ++misses_;
-    oracle_metrics().misses.inc();
-  }
-  // Miss: wide slot first (window eviction needs the lock), BFS outside it.
-  std::shared_ptr<Dist> wide;
-  {
-    std::lock_guard lock(mutex_);
-    wide = acquire_wide_locked();
-  }
-  local_bfs_workspace().distances_into(graph_, target, {wide.get(), n});
-  std::shared_ptr<std::uint8_t> packed = acquire_packed();
-  if (narrow_row({wide.get(), n}, width_, packed.get())) throw_saturated();
-  std::lock_guard lock(mutex_);
-  const auto it = cache_.find(target);
-  if (it != cache_.end()) {  // lost the race: keep the winner's row
-    if (it->second.distances != nullptr) return it->second.distances;
-    return ensure_wide_locked(target, it->second);
-  }
-  return install_narrow_locked(target, std::move(wide), std::move(packed));
+  if (evicted > 0) oracle_metrics().evictions.inc(evicted);
 }
 
 DistVecPtr TargetDistanceCache::distances_to(NodeId target) const {
-  if (width_ != DistWidth::kU32) return narrow_distances_to(target);
   NAV_ASSERT(target < graph_.num_nodes());
+  const std::size_t n = graph_.num_nodes();
+  std::shared_ptr<std::uint8_t> packed;
+  std::shared_ptr<Dist> row;
   {
     std::lock_guard lock(mutex_);
     const auto it = cache_.find(target);
     if (it != cache_.end()) {
       ++hits_;
       oracle_metrics().hits.inc();
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);  // bump to front
-      return it->second.distances;
+      return serve_locked(target, it->second);
     }
     ++misses_;
     oracle_metrics().misses.inc();
+    // Storage first (window eviction needs the lock), BFS outside it.
+    packed = acquire_packed();
+    row = staging_row_locked(packed);
   }
-  // BFS outside the lock: concurrent misses on the same target may compute it
-  // twice; both results are identical, the second insert wins harmlessly.
-  DistVecPtr dist = compute_row(target);
+  // Concurrent misses on the same target may compute it twice; both rows
+  // are identical, and the second install keeps the first.
+  local_bfs_workspace().distances_into(graph_, target, {row.get(), n});
+  if (pack_staged({row.get(), n}, width_, packed.get())) {
+    throw_width_saturated(width_);
+  }
   std::lock_guard lock(mutex_);
   const auto it = cache_.find(target);
-  if (it != cache_.end()) return it->second.distances;  // lost the race
-  lru_.push_front(target);
-  cache_.emplace(target, Entry{lru_.begin(), dist, nullptr, {}});
-  while (cache_.size() > capacity_) {
-    const NodeId victim = lru_.back();
-    lru_.pop_back();
-    cache_.erase(victim);  // the slot recycles once the last pin drops
-    oracle_metrics().evictions.inc();
+  if (it != cache_.end()) {  // lost the race: keep the winner's row
+    return resident_row_locked(target, it->second);
   }
-  return dist;
+  DistVecPtr result = install_locked(target, std::move(row), std::move(packed));
+  evict_overflow_locked();
+  return result;
 }
 
 std::vector<NodeId> TargetDistanceCache::resident_targets() const {
@@ -432,24 +370,18 @@ DistVecPtr TargetDistanceCache::peek(NodeId target) const {
   std::lock_guard lock(mutex_);
   const auto it = cache_.find(target);
   if (it == cache_.end()) return {};
-  if (width_ == DistWidth::kU32 || it->second.distances != nullptr) {
-    return it->second.distances;
-  }
+  if (it->second.distances != nullptr) return it->second.distances;
   // Packed-only resident on a narrow cache: hand out a private widened copy
   // without perturbing the window (peek must not change cache state).
-  const std::size_t n = graph_.num_nodes();
-  std::shared_ptr<Dist> row(new Dist[n], std::default_delete<Dist[]>());
-  widen_row(it->second.packed.get(), width_, {row.get(), n});
-  return {std::move(row), n};
+  return packed_row_view(it->second.packed, it->second.packed.get(), width_,
+                         graph_.num_nodes());
 }
 
 bool TargetDistanceCache::erase(NodeId target) {
   std::lock_guard lock(mutex_);
   const auto it = cache_.find(target);
   if (it == cache_.end()) return false;
-  if (width_ != DistWidth::kU32 && it->second.distances != nullptr) {
-    wide_lru_.erase(it->second.wide_it);
-  }
+  if (windowed(it->second)) wide_lru_.erase(it->second.wide_it);
   lru_.erase(it->second.lru_it);
   cache_.erase(it);  // the slot recycles once the last pin drops
   return true;
@@ -472,10 +404,10 @@ struct PrefetchScratch {
   std::vector<std::size_t> first_of;   // input index -> first occurrence index
   std::vector<NodeId> missing;         // distinct targets needing a BFS
   std::vector<std::size_t> miss_slot;  // their positions in the output
-  std::vector<DistVecPtr> fresh;       // rows computed for `missing`
-  // Narrow-width waves: pre-acquired storage for the misses.
-  std::vector<std::shared_ptr<Dist>> wide_slots;
-  std::vector<std::shared_ptr<std::uint8_t>> packed_slots;
+  // Storage pre-acquired for the misses: the packed rows and the Dist rows
+  // their BFS writes (the packed rows themselves at u32).
+  std::vector<std::shared_ptr<std::uint8_t>> packed;
+  std::vector<std::shared_ptr<Dist>> staged;
 };
 
 /// Sizes the dedup probe table for a wave; returns the hash shift.
@@ -517,8 +449,8 @@ std::size_t dedup_probe(PrefetchScratch& scratch,
 
 }  // namespace
 
-void TargetDistanceCache::narrow_prefetch_into(
-    std::span<const NodeId> targets, std::vector<DistVecPtr>& out) const {
+void TargetDistanceCache::prefetch_into(std::span<const NodeId> targets,
+                                        std::vector<DistVecPtr>& out) const {
   NAV_OBS_SPAN("oracle.prefetch_wave", "targets",
                static_cast<double>(targets.size()));
   out.clear();
@@ -530,133 +462,8 @@ void TargetDistanceCache::narrow_prefetch_into(
   const unsigned shift = prepare_dedup(scratch, targets.size());
   const std::size_t n = graph_.num_nodes();
 
-  // Pass 1 (under the lock): dedup, serve residents (widening packed-only
-  // rows into the window), list misses, and pre-acquire their storage —
-  // window eviction needs the lock anyway, so the misses leave this pass
-  // holding both their Dist staging slot and their packed slot.
-  std::size_t wave_hits = 0;
-  {
-    std::lock_guard lock(mutex_);
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      const NodeId t = targets[i];
-      NAV_ASSERT(t < graph_.num_nodes());
-      if (dedup_probe(scratch, targets, i, shift) != i) {
-        ++hits_;  // served by the first occurrence's row
-        ++wave_hits;
-        continue;
-      }
-      const auto it = cache_.find(t);
-      if (it != cache_.end()) {
-        ++hits_;
-        ++wave_hits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        if (it->second.distances != nullptr) {
-          wide_lru_.splice(wide_lru_.begin(), wide_lru_, it->second.wide_it);
-          out[i] = it->second.distances;
-        } else {
-          out[i] = ensure_wide_locked(t, it->second);
-        }
-      } else {
-        ++misses_;
-        scratch.missing.push_back(t);
-        scratch.miss_slot.push_back(i);
-      }
-    }
-    scratch.wide_slots.clear();
-    scratch.packed_slots.clear();
-    scratch.wide_slots.resize(scratch.missing.size());
-    scratch.packed_slots.resize(scratch.missing.size());
-    for (std::size_t k = 0; k < scratch.missing.size(); ++k) {
-      scratch.wide_slots[k] = acquire_wide_locked();
-      scratch.packed_slots[k] = acquire_packed();
-    }
-  }
-  if (wave_hits > 0) oracle_metrics().hits.inc(wave_hits);
-  if (!scratch.missing.empty()) {
-    oracle_metrics().misses.inc(scratch.missing.size());
-  }
-  oracle_metrics().wave_misses.observe(
-      static_cast<double>(scratch.missing.size()));
-
-  // Pass 2 (no lock): BFS + pack each distinct miss, adaptive in the policy.
-  // Saturation is flagged (loop bodies are noexcept by policy) and thrown by
-  // the coordinator after the fan-out.
-  std::atomic<bool> saturated{false};
-  const auto fill = [&](std::size_t k) {
-    const std::span<Dist> wide{scratch.wide_slots[k].get(), n};
-    local_bfs_workspace().distances_into(graph_, scratch.missing[k], wide);
-    if (narrow_row(wide, width_, scratch.packed_slots[k].get())) {
-      saturated.store(true, std::memory_order_relaxed);
-    }
-  };
-  const std::size_t workers = policy_.resolved_workers();
-  if (workers > 1 && scratch.missing.size() >= workers) {
-    nav::parallel_for(0, scratch.missing.size(), fill, workers);
-  } else if (workers > 1 && !scratch.missing.empty()) {
-    // Narrow wave: each miss as one multi-worker sweep; packing stays on
-    // the coordinator.
-    std::lock_guard engine_lock(engine_mutex_);
-    if (engine_ == nullptr) engine_ = std::make_unique<ParallelBfs>(policy_);
-    for (std::size_t k = 0; k < scratch.missing.size(); ++k) {
-      const std::span<Dist> wide{scratch.wide_slots[k].get(), n};
-      engine_->distances_into(graph_, scratch.missing[k], wide);
-      if (narrow_row(wide, width_, scratch.packed_slots[k].get())) {
-        saturated.store(true, std::memory_order_relaxed);
-      }
-    }
-  } else {
-    for (std::size_t k = 0; k < scratch.missing.size(); ++k) fill(k);
-  }
-  if (saturated.load(std::memory_order_relaxed)) {
-    scratch.wide_slots.clear();
-    scratch.packed_slots.clear();
-    throw_saturated();
-  }
-
-  // Pass 3 (under the lock): install the new rows, newest-first LRU.
-  if (!scratch.missing.empty()) {
-    std::lock_guard lock(mutex_);
-    for (std::size_t k = 0; k < scratch.missing.size(); ++k) {
-      const NodeId t = scratch.missing[k];
-      const auto it = cache_.find(t);
-      if (it != cache_.end()) {  // a concurrent caller raced us: keep theirs
-        out[scratch.miss_slot[k]] =
-            it->second.distances != nullptr
-                ? it->second.distances
-                : ensure_wide_locked(t, it->second);
-        continue;
-      }
-      out[scratch.miss_slot[k]] =
-          install_narrow_locked(t, std::move(scratch.wide_slots[k]),
-                                std::move(scratch.packed_slots[k]));
-    }
-  }
-  scratch.wide_slots.clear();
-  scratch.packed_slots.clear();
-
-  // Final pass: duplicates alias their first occurrence's pin.
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    if (scratch.first_of[i] != i) out[i] = out[scratch.first_of[i]];
-  }
-}
-
-void TargetDistanceCache::prefetch_into(std::span<const NodeId> targets,
-                                        std::vector<DistVecPtr>& out) const {
-  if (width_ != DistWidth::kU32) {
-    narrow_prefetch_into(targets, out);
-    return;
-  }
-  NAV_OBS_SPAN("oracle.prefetch_wave", "targets",
-               static_cast<double>(targets.size()));
-  out.clear();
-  out.resize(targets.size());
-  if (targets.empty()) return;
-  oracle_metrics().wave_width.observe(static_cast<double>(targets.size()));
-
-  auto& scratch = nav::thread_scratch<PrefetchScratch>();
-  const unsigned shift = prepare_dedup(scratch, targets.size());
-
-  // Pass 1 (under the lock): dedup the wave, serve residents, list misses.
+  // Pass 1 (under the lock): dedup the wave, serve residents, list misses
+  // and pre-acquire their storage — window eviction needs the lock anyway.
   // Registry increments are batched per wave (one shard write per counter,
   // after the loop) instead of per target.
   std::size_t wave_hits = 0;
@@ -674,13 +481,18 @@ void TargetDistanceCache::prefetch_into(std::span<const NodeId> targets,
       if (it != cache_.end()) {
         ++hits_;
         ++wave_hits;
-        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-        out[i] = it->second.distances;
+        out[i] = serve_locked(t, it->second);
       } else {
         ++misses_;
         scratch.missing.push_back(t);
         scratch.miss_slot.push_back(i);
       }
+    }
+    scratch.packed.resize(scratch.missing.size());
+    scratch.staged.resize(scratch.missing.size());
+    for (std::size_t k = 0; k < scratch.missing.size(); ++k) {
+      scratch.packed[k] = acquire_packed();
+      scratch.staged[k] = staging_row_locked(scratch.packed[k]);
     }
   }
   if (wave_hits > 0) oracle_metrics().hits.inc(wave_hits);
@@ -690,56 +502,59 @@ void TargetDistanceCache::prefetch_into(std::span<const NodeId> targets,
   oracle_metrics().wave_misses.observe(
       static_cast<double>(scratch.missing.size()));
 
-  // Pass 2 (no lock): BFS the distinct misses, adaptively in the policy.
-  auto& fresh = scratch.fresh;
-  fresh.clear();
-  fresh.resize(scratch.missing.size());
+  // Pass 2 (no lock): BFS + pack each distinct miss, adaptive in the policy.
+  // Saturation is flagged (loop bodies are noexcept by policy) and thrown by
+  // the coordinator after the fan-out.
+  std::atomic<bool> saturated{false};
+  const auto fill = [&](auto& bfs, std::size_t k) {
+    const std::span<Dist> row{scratch.staged[k].get(), n};
+    bfs.distances_into(graph_, scratch.missing[k], row);
+    if (pack_staged(row, width_, scratch.packed[k].get())) {
+      saturated.store(true, std::memory_order_relaxed);
+    }
+  };
   const std::size_t workers = policy_.resolved_workers();
   if (workers > 1 && scratch.missing.size() >= workers) {
     // Wide wave: farm whole rows across the lanes, one scalar sweep each —
     // this is the batched-prefetch win over miss-by-miss distances_to.
     nav::parallel_for(
         0, scratch.missing.size(),
-        [&](std::size_t k) { fresh[k] = compute_row(scratch.missing[k]); },
-        workers);
+        [&](std::size_t k) { fill(local_bfs_workspace(), k); }, workers);
   } else if (workers > 1 && !scratch.missing.empty()) {
     // Narrow wave: fewer misses than workers, so row farming would idle
     // most lanes — run each miss as one multi-worker sweep instead.
     std::lock_guard engine_lock(engine_mutex_);
     if (engine_ == nullptr) engine_ = std::make_unique<ParallelBfs>(policy_);
-    for (std::size_t k = 0; k < scratch.missing.size(); ++k) {
-      fresh[k] = compute_row_with(*engine_, scratch.missing[k]);
-    }
+    for (std::size_t k = 0; k < scratch.missing.size(); ++k) fill(*engine_, k);
   } else {
     for (std::size_t k = 0; k < scratch.missing.size(); ++k) {
-      fresh[k] = compute_row(scratch.missing[k]);
+      fill(local_bfs_workspace(), k);
     }
   }
+  if (saturated.load(std::memory_order_relaxed)) {
+    scratch.packed.clear();
+    scratch.staged.clear();
+    throw_width_saturated(width_);
+  }
 
-  // Pass 3 (under the lock): install the new vectors, newest-first LRU.
+  // Pass 3 (under the lock): install the new rows, newest-first LRU.
   if (!scratch.missing.empty()) {
     std::lock_guard lock(mutex_);
     for (std::size_t k = 0; k < scratch.missing.size(); ++k) {
       const NodeId t = scratch.missing[k];
       const auto it = cache_.find(t);
       if (it != cache_.end()) {  // a concurrent caller raced us: keep theirs
-        out[scratch.miss_slot[k]] = it->second.distances;
+        out[scratch.miss_slot[k]] = resident_row_locked(t, it->second);
         continue;
       }
-      lru_.push_front(t);
-      cache_.emplace(t, Entry{lru_.begin(), fresh[k], nullptr, {}});
-      out[scratch.miss_slot[k]] = fresh[k];
+      out[scratch.miss_slot[k]] = install_locked(
+          t, std::move(scratch.staged[k]), std::move(scratch.packed[k]));
     }
-    std::size_t wave_evictions = 0;
-    while (cache_.size() > capacity_) {
-      const NodeId victim = lru_.back();
-      lru_.pop_back();
-      cache_.erase(victim);
-      ++wave_evictions;
-    }
-    if (wave_evictions > 0) oracle_metrics().evictions.inc(wave_evictions);
+    evict_overflow_locked();
   }
-  fresh.clear();  // drop the scratch pins: rows now live via cache_/out
+  // Drop the scratch pins: rows now live via cache_/out.
+  scratch.packed.clear();
+  scratch.staged.clear();
 
   // Final pass: duplicates alias their first occurrence's pin.
   for (std::size_t i = 0; i < targets.size(); ++i) {

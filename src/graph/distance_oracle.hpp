@@ -7,13 +7,14 @@
 //   * TargetDistanceCache — one BFS per distinct target, LRU-capped. Right
 //     choice for big sweeps where each target serves thousands of trials.
 //
-// Storage is arena-backed (runtime/arena.hpp): both oracles carve per-target
-// distance rows out of slabs instead of allocating one std::vector<Dist> per
-// target — the cache's slab budget is MemoryBudget, and a steady-state miss
-// BFS-fills a recycled slot, so the O(n) row never touches the heap (the
-// BFS runs on the worker thread's pooled BfsWorkspace, also allocation-free;
-// only O(1) LRU/map bookkeeping nodes are allocated per miss, and hits
-// allocate nothing at all).
+// Storage is packed rows at a declared width (dist_slab.hpp): both oracles
+// keep n × width_bytes(width) bytes per target row, and u32 is simply the
+// width whose rows are read in place as Dist — no copy, no second code path.
+// The cache carves its rows out of an arena (runtime/arena.hpp) sized by
+// MemoryBudget, and a steady-state miss BFS-fills a recycled slot, so the
+// O(n) row never touches the heap (the BFS runs on the worker thread's
+// pooled BfsWorkspace, also allocation-free; only O(1) LRU/map bookkeeping
+// nodes are allocated per miss, and hits allocate nothing at all).
 //
 // distances_to() hands out a shared-ownership DistVecPtr so a routing episode
 // can keep the row alive even if the cache evicts the entry concurrently —
@@ -136,16 +137,16 @@ class DistanceOracle {
   }
 };
 
-/// Dense all-pairs table. Memory: one n² slab at the chosen storage width
-/// (4-byte Dist by default; 1- or 2-byte packed rows for low-diameter
-/// graphs — see dist_slab.hpp), rows aliased or widened out of it. Built
-/// with a parallel all-source BFS sweep at construction: rows are farmed to
-/// the process-wide WorkerTeam (capped by the policy) and the slab is handed
-/// out UNINITIALISED, so each page is first touched by the lane that
-/// BFS-fills it — on NUMA hosts the rows land near the cores that wrote
-/// them. The policy also caps rebuild_rows/rebuild_all. Distances are
-/// level-synchronous, so the slab is byte-identical for every worker count
-/// (the determinism suite hashes it to prove this).
+/// Dense all-pairs table. Memory: one n² byte slab at the chosen storage
+/// width (4-byte Dist by default, read in place; 1- or 2-byte packed rows
+/// for low-diameter graphs — see dist_slab.hpp), rows aliased or widened
+/// out of it. Built with a parallel all-source BFS sweep at construction:
+/// rows are farmed to the process-wide WorkerTeam (capped by the policy) and
+/// the slab is handed out UNINITIALISED, so each page is first touched by
+/// the lane that BFS-fills it — on NUMA hosts the rows land near the cores
+/// that wrote them. The policy also caps rebuild_rows/rebuild_all.
+/// Distances are level-synchronous, so the slab is byte-identical for every
+/// worker count (the determinism suite hashes it to prove this).
 ///
 /// Narrow widths are a pure storage decision: distance() and distances_to()
 /// still speak Dist (single entries widen in place; full rows materialise a
@@ -171,7 +172,8 @@ class DistanceMatrix final : public DistanceOracle {
   [[nodiscard]] std::span<const Dist> slab() const {
     NAV_REQUIRE(width_ == DistWidth::kU32,
                 "slab() needs u32 storage; narrow widths expose packed_slab()");
-    return {slab_.get(), static_cast<std::size_t>(n_) * n_};
+    return {reinterpret_cast<const Dist*>(slab_.get()),
+            static_cast<std::size_t>(n_) * n_};
   }
 
   /// The packed backing bytes at any width (n*n*width_bytes(width())).
@@ -188,14 +190,16 @@ class DistanceMatrix final : public DistanceOracle {
   void rebuild_all(const Graph& g);
 
  private:
+  /// The packed bytes of `target`'s row.
+  [[nodiscard]] std::uint8_t* row(NodeId target) const noexcept;
   void fill_row(const Graph& g, NodeId target);
   void check_saturation() const;
 
   NodeId n_;
   ParallelPolicy policy_;
   DistWidth width_;
-  std::shared_ptr<Dist[]> slab_;  // u32 storage: n_ rows of n_ entries
-  std::shared_ptr<std::uint8_t[]> packed_;  // narrow storage (else null)
+  /// n_ rows of n_ entries at width_bytes(width_) bytes each.
+  std::shared_ptr<std::uint8_t[]> slab_;
   std::atomic<bool> saturated_{false};
 };
 
@@ -206,28 +210,31 @@ struct MemoryBudget {
   std::size_t bytes = 64u << 20;
 };
 
-/// Per-target BFS cache with LRU eviction over arena-slab rows.
+/// Per-target BFS cache with LRU eviction over packed arena rows.
 ///
-/// Narrow storage widths (dist_slab.hpp) pack resident rows at 1 or 2 bytes
-/// per entry, so the same MemoryBudget keeps 4x (or 2x) more targets
-/// resident. Routers still consume Dist rows: a small window of widened
-/// rows (kWideWindow slots, LRU over the resident set) backs distances_to,
-/// so a warm working set is served by refcount copies — zero allocations —
-/// while the packed slabs carry the capacity. distance() reads single
-/// packed entries in place and never widens a row. A BFS row whose true
-/// distances exceed the width's max_finite throws std::invalid_argument.
+/// Every resident target owns one packed row of n × width_bytes(width)
+/// bytes (dist_slab.hpp). At u32 that row IS the Dist row: the BFS writes
+/// it in place and distances_to hands out an aliasing handle to it. Narrow
+/// widths pack at 1 or 2 bytes per entry, so the same MemoryBudget keeps 4x
+/// (or 2x) more targets resident; routers still consume Dist rows, so a
+/// small window of widened rows (kWideWindow slots, LRU over the resident
+/// set) backs distances_to there, and a warm working set is served by
+/// refcount copies — zero allocations — while the packed rows carry the
+/// capacity. distance() reads single packed entries in place at every width
+/// and never widens a row. A BFS row whose true distances exceed the width's
+/// max_finite throws std::invalid_argument.
 class TargetDistanceCache final : public DistanceOracle {
  public:
-  /// Widened rows kept alive for narrow-width caches: enough for every
-  /// in-flight prefetch shard of a RouteService wave to pin its row while
-  /// staying far below the packed capacity the budget buys.
+  /// Widened rows kept alive for narrow-width caches (u32 rows need none):
+  /// enough for every in-flight prefetch shard of a RouteService wave to pin
+  /// its row while staying far below the packed capacity the budget buys.
   static constexpr std::size_t kWideWindow = 16;
 
   /// `capacity` = number of target distance vectors kept alive in the cache.
-  /// The arena holds capacity + 1 slots (slabs grow lazily towards it): the
-  /// spare serves the miss-on-full-cache window where the new row is
-  /// computed before the victim's slot frees. `policy` caps how much of the
-  /// machine prefetch waves may use.
+  /// The arena holds capacity + 1 packed rows (slabs grow lazily towards
+  /// it): the spare serves the miss-on-full-cache window where the new row
+  /// is computed before the victim's slot frees. `policy` caps how much of
+  /// the machine prefetch waves may use.
   explicit TargetDistanceCache(const Graph& g, std::size_t capacity = 64,
                                ParallelPolicy policy = {},
                                DistWidth width = DistWidth::kU32);
@@ -237,16 +244,13 @@ class TargetDistanceCache final : public DistanceOracle {
                       ParallelPolicy policy = {},
                       DistWidth width = DistWidth::kU32);
 
-  /// Entry count affordable under `budget` for n-node vectors (>= 1: the
-  /// cache always keeps at least the vector it just computed).
-  [[nodiscard]] static std::size_t capacity_for_budget(MemoryBudget budget,
-                                                       NodeId n) noexcept;
-
-  /// The same, at a storage width: narrow rows cost width_bytes(width) per
-  /// entry, so the budget buys proportionally more resident targets.
-  [[nodiscard]] static std::size_t capacity_for_budget(MemoryBudget budget,
-                                                       NodeId n,
-                                                       DistWidth width) noexcept;
+  /// Entry count affordable under `budget` for n-node vectors at a storage
+  /// width (>= 1: the cache always keeps at least the vector it just
+  /// computed). Narrow rows cost width_bytes(width) per entry, so the budget
+  /// buys proportionally more resident targets.
+  [[nodiscard]] static std::size_t capacity_for_budget(
+      MemoryBudget budget, NodeId n,
+      DistWidth width = DistWidth::kU32) noexcept;
 
   [[nodiscard]] Dist distance(NodeId u, NodeId target) const override;
   [[nodiscard]] DistVecPtr distances_to(NodeId target) const override;
@@ -262,7 +266,9 @@ class TargetDistanceCache final : public DistanceOracle {
   /// Returned pins outlive eviction, so a batch larger than the capacity is
   /// still served correctly — the LRU just ends at its capacity. (Pins in
   /// excess of the arena budget spill to plain heap rows; they free on
-  /// release rather than recycling.)
+  /// release rather than recycling.) Every width runs this one body: only
+  /// the row a miss's BFS writes (the packed row itself at u32, a window
+  /// slot otherwise) and whether it is then packed depend on the width.
   void prefetch_into(std::span<const NodeId> targets,
                      std::vector<DistVecPtr>& out) const override;
 
@@ -296,68 +302,56 @@ class TargetDistanceCache final : public DistanceOracle {
  private:
   struct Entry {
     std::list<NodeId>::iterator lru_it;
-    /// u32 storage: the row itself. Narrow storage: the widened copy when
-    /// this target is inside the wide window (empty handle otherwise).
-    DistVecPtr distances;
-    /// Narrow storage only: the packed row (width_bytes per entry).
+    /// The packed row (n × width_bytes entries): an arena slot or a spill.
     std::shared_ptr<std::uint8_t> packed;
-    /// Valid iff `distances` is non-empty on a narrow cache: this target's
-    /// position in wide_lru_.
+    /// The Dist row distances_to hands out. u32: an aliasing handle to
+    /// `packed` (read in place, always set). Narrow: the widened copy while
+    /// this target is inside the wide window, empty otherwise.
+    DistVecPtr distances;
+    /// Valid iff windowed(): this target's position in wide_lru_.
     std::list<NodeId>::iterator wide_it;
   };
 
-  /// One BFS into a fresh row (arena slot, or heap when all slots are
-  /// pinned) on the calling thread's workspace.
-  [[nodiscard]] DistVecPtr compute_row(NodeId target) const;
-
-  /// The same, but the sweep itself fans out over `engine`'s worker team —
-  /// the narrow-wave prefetch path.
-  [[nodiscard]] DistVecPtr compute_row_with(ParallelBfs& engine,
-                                            NodeId target) const;
-
-  /// Acquires the row storage (arena slot, heap spill fallback).
-  [[nodiscard]] std::shared_ptr<Dist> acquire_slot() const;
-
-  // ---- narrow-width internals (width_ != kU32; all *_locked under mutex_)
-  /// A wide-window slot, evicting other entries' widened copies (LRU) when
-  /// the window is full; spills to the heap when every slot is pinned.
-  [[nodiscard]] std::shared_ptr<Dist> acquire_wide_locked() const;
-  /// A packed-row slot (heap spill when the arena is exhausted).
+  // All *_locked helpers run under mutex_.
+  /// True when `entry` holds a wide-window slot (narrow widths only).
+  [[nodiscard]] bool windowed(const Entry& entry) const noexcept;
+  /// A packed-row slot (heap spill when every arena slot is pinned).
   [[nodiscard]] std::shared_ptr<std::uint8_t> acquire_packed() const;
-  /// Widens a packed-only resident entry into the wide window.
-  DistVecPtr ensure_wide_locked(NodeId target, Entry& entry) const;
-  /// Installs a freshly computed narrow row (packed + widened) for `target`.
-  DistVecPtr install_narrow_locked(NodeId target,
-                                   std::shared_ptr<Dist> wide,
-                                   std::shared_ptr<std::uint8_t> packed) const;
-  /// Evicts main-LRU overflow, maintaining the wide window; returns the
-  /// number of entries dropped.
-  std::size_t evict_overflow_locked() const;
-  /// Throws the saturation error for this cache's width.
-  [[noreturn]] void throw_saturated() const;
-
-  [[nodiscard]] DistVecPtr narrow_distances_to(NodeId target) const;
-  void narrow_prefetch_into(std::span<const NodeId> targets,
-                            std::vector<DistVecPtr>& out) const;
+  /// The Dist row for `packed`: at u32 the packed row itself; at narrow
+  /// widths a wide-window slot, evicting other entries' widened copies (LRU)
+  /// when the window is full, spilling when every slot is pinned.
+  [[nodiscard]] std::shared_ptr<Dist> staging_row_locked(
+      const std::shared_ptr<std::uint8_t>& packed) const;
+  /// A hit: bumps the LRU (and the window) and returns the resident row.
+  DistVecPtr serve_locked(NodeId target, Entry& entry) const;
+  /// The resident row without bumping the LRU, widening a packed-only
+  /// narrow entry into the window.
+  DistVecPtr resident_row_locked(NodeId target, Entry& entry) const;
+  /// Installs a freshly computed row for `target` at the LRU front.
+  DistVecPtr install_locked(NodeId target, std::shared_ptr<Dist> row,
+                            std::shared_ptr<std::uint8_t> packed) const;
+  /// Evicts main-LRU overflow, maintaining the wide window and the
+  /// eviction counter.
+  void evict_overflow_locked() const;
 
   const Graph& graph_;
   std::size_t capacity_;
   ParallelPolicy policy_;
   DistWidth width_;
-  /// u32 storage: the row arena (capacity + 1 slots). Narrow storage: the
-  /// wide window (min(capacity, kWideWindow) + 1 slots of widened rows).
-  mutable SlabArena<Dist> arena_;
-  /// Narrow storage only: packed rows, capacity + 1 slots of n bytes*width.
-  mutable std::optional<SlabArena<std::uint8_t>> packed_arena_;
+  /// The packed rows: capacity + 1 slots of n × width_bytes(width) bytes.
+  mutable SlabArena<std::uint8_t> arena_;
+  /// Narrow widths only: the wide window, min(capacity, kWideWindow) + 1
+  /// widened Dist rows. A u32 cache reserves none.
+  mutable std::optional<SlabArena<Dist>> window_;
   mutable std::mutex mutex_;
   mutable std::list<NodeId> lru_;  // front = most recently used
   /// Narrow storage: targets with a live widened copy, front = most recent.
   mutable std::list<NodeId> wide_lru_;
   mutable std::unordered_map<NodeId, Entry> cache_;
   mutable std::size_t hits_ = 0, misses_ = 0;
-  // Lazily-built multi-worker engine for narrow prefetch waves (fewer
-  // misses than workers). ParallelBfs is not re-entrant, so concurrent
-  // narrow waves serialise on engine_mutex_ — never held with mutex_.
+  // Lazily-built multi-worker engine for prefetch waves with fewer misses
+  // than workers. ParallelBfs is not re-entrant, so concurrent such waves
+  // serialise on engine_mutex_ — never held with mutex_.
   mutable std::mutex engine_mutex_;
   mutable std::unique_ptr<ParallelBfs> engine_;
 };

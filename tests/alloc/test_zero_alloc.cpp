@@ -25,6 +25,7 @@
 #include "routing/greedy_router.hpp"
 #include "runtime/alloc_counter.hpp"
 #include "runtime/worker_team.hpp"
+#include "support/bfs_reference.hpp"
 
 NAV_DEFINE_ALLOC_COUNTER();
 
@@ -263,52 +264,66 @@ TEST(ZeroAlloc, WarmParallelForAllocatesNothing) {
 TEST(ZeroAlloc, WarmPrefetchWaveAllocatesNothing) {
   // An all-hit prefetch wave is the oracle's steady state under RouteService:
   // dedup runs on grow-only thread scratch, residents are refcount copies
-  // into a caller-reused vector — nothing may reach the allocator.
+  // into a caller-reused vector — nothing may reach the allocator, at any
+  // storage width.
   const auto g = make_grid2d(40, 40);
-  TargetDistanceCache cache(g, 8, ParallelPolicy::serial());
   const std::vector<NodeId> wave{5, 9, 13, 5, 21, 9};
-  std::vector<DistVecPtr> pinned;
-  cache.prefetch_into(wave, pinned);  // warm: misses, scratch, out growth
-  cache.prefetch_into(wave, pinned);  // warm: the all-hit shape itself
+  for (const auto width :
+       {DistWidth::kU8, DistWidth::kU16, DistWidth::kU32}) {
+    TargetDistanceCache cache(g, 8, ParallelPolicy::serial(), width);
+    std::vector<DistVecPtr> pinned;
+    cache.prefetch_into(wave, pinned);  // warm: misses, scratch, out growth
+    cache.prefetch_into(wave, pinned);  // warm: the all-hit shape itself
 
-  const std::uint64_t before = nav::allocation_count();
-  for (int i = 0; i < 200; ++i) cache.prefetch_into(wave, pinned);
-  const std::uint64_t after = nav::allocation_count();
-  EXPECT_EQ(after - before, 0u)
-      << "a resident prefetch wave must perform zero heap allocations";
-  EXPECT_EQ(cache.misses(), 4u);  // only the first wave's distinct targets
+    const std::uint64_t before = nav::allocation_count();
+    for (int i = 0; i < 200; ++i) cache.prefetch_into(wave, pinned);
+    const std::uint64_t after = nav::allocation_count();
+    EXPECT_EQ(after - before, 0u)
+        << width_token(width)
+        << ": a resident prefetch wave must perform zero heap allocations";
+    EXPECT_EQ(cache.misses(), 4u);  // only the first wave's distinct targets
+  }
 }
 
 TEST(ZeroAlloc, ParallelMissWavesRecycleArenaRows) {
-  // Narrow waves (fewer misses than workers) run each miss as one
-  // multi-worker sweep; the row must still come from a recycled arena slot,
-  // never a fresh heap block. Bookkeeping per miss stays O(1) (LRU node,
-  // map node, slot control block) — the byte counter proves no n-sized row
-  // was ever heap-spilled.
-  const auto g = make_path(4096);
+  // Waves with fewer misses than workers run each miss as one multi-worker
+  // sweep; the row must still come from a recycled arena slot, never a
+  // fresh heap block, at every storage width. Bookkeeping per miss stays
+  // O(1): LRU node, map node, packed-slot control block — plus, at narrow
+  // widths, the wide-window slot's control block and its window LRU node.
+  // The byte counter proves no row was ever heap-spilled: it stays below
+  // one packed row (n × width bytes), and a spilled widened row would be
+  // larger still. The grid's diameter, 254, fits every width.
+  const auto g = make_grid2d(128, 128);
+  const std::size_t n = g.num_nodes();
   ParallelPolicy policy;
   policy.num_workers = 2;
   policy.serial_frontier_cutoff = 1;
   policy.min_diropt_nodes = 1;
-  TargetDistanceCache cache(g, 2, policy);
-  std::vector<DistVecPtr> pinned;
-  std::vector<NodeId> wave(1);
-  for (NodeId t = 0; t < 3; ++t) {  // warm: team start, spare slot, scratch
-    wave[0] = t;
-    cache.prefetch_into(wave, pinned);
+  for (const auto width :
+       {DistWidth::kU8, DistWidth::kU16, DistWidth::kU32}) {
+    TargetDistanceCache cache(g, 2, policy, width);
+    std::vector<DistVecPtr> pinned;
+    std::vector<NodeId> wave(1);
+    for (NodeId t = 0; t < 3; ++t) {  // warm: team start, spare slot, scratch
+      wave[0] = t;
+      cache.prefetch_into(wave, pinned);
+    }
+    pinned.clear();  // drop the last pin so its slot recycles
+    const std::uint64_t count_before = nav::allocation_count();
+    const std::uint64_t bytes_before = nav::allocation_bytes();
+    for (NodeId t = 3; t < 40; ++t) {
+      wave[0] = t;
+      cache.prefetch_into(wave, pinned);  // miss, evict, recycle — every wave
+      pinned.clear();
+    }
+    const std::uint64_t count_after = nav::allocation_count();
+    const std::uint64_t bytes_after = nav::allocation_bytes();
+    const std::uint64_t per_miss = width == DistWidth::kU32 ? 4u : 6u;
+    EXPECT_LE(count_after - count_before, 37u * per_miss) << width_token(width);
+    EXPECT_LT(bytes_after - bytes_before, n * width_bytes(width))
+        << width_token(width);
   }
-  pinned.clear();  // drop the last pin so its slot recycles
-  const std::uint64_t count_before = nav::allocation_count();
-  const std::uint64_t bytes_before = nav::allocation_bytes();
-  for (NodeId t = 3; t < 40; ++t) {
-    wave[0] = t;
-    cache.prefetch_into(wave, pinned);  // miss, evict, recycle — every wave
-    pinned.clear();
-  }
-  const std::uint64_t count_after = nav::allocation_count();
-  const std::uint64_t bytes_after = nav::allocation_bytes();
-  EXPECT_LE(count_after - count_before, 37u * 4u);
-  EXPECT_LT(bytes_after - bytes_before, 4096u * sizeof(Dist));
 }
 
 TEST(ZeroAlloc, WarmNarrowCacheHitAllocatesNothing) {

@@ -14,6 +14,7 @@
 #include "graph/bfs_engine.hpp"
 #include "graph/generators.hpp"
 #include "runtime/worker_team.hpp"
+#include "support/bfs_reference.hpp"
 
 namespace nav::core {
 namespace {

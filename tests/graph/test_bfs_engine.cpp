@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "support/bfs_reference.hpp"
 
 namespace nav::graph {
 namespace {

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "core/uniform_scheme.hpp"
 #include "graph/distance_oracle.hpp"
 #include "graph/generators.hpp"
+#include "obs/metrics.hpp"
 #include "routing/greedy_router.hpp"
 
 namespace nav::graph {
@@ -121,22 +123,83 @@ TEST(DistSlab, CacheWidthsAreBitIdentical) {
 }
 
 TEST(DistSlab, CachePrefetchWidthsAreBitIdentical) {
+  // Every width runs one prefetch body; cover each of its BFS branches:
+  // serial, one multi-worker ParallelBfs sweep per miss (a wave with fewer
+  // misses than workers), and rows farmed across the lanes (a wave with at
+  // least as many misses as workers). Two workers with a cutoff of one keep
+  // the parallel kernels on even at this size; the parallel_bfs.sweeps
+  // counter proves which branch each wave took.
+  ParallelPolicy parallel;
+  parallel.num_workers = 2;
+  parallel.serial_frontier_cutoff = 1;
+  parallel.min_diropt_nodes = 1;
+  struct Branch {
+    const char* name;
+    ParallelPolicy policy;
+    bool parallel_sweeps;  // each miss runs as one ParallelBfs sweep
+    std::vector<std::vector<NodeId>> waves;
+  };
+  const Branch branches[] = {
+      {"serial",
+       ParallelPolicy::serial(),
+       false,
+       {{3, 97, 3, 41, 55, 41, 7}, {7, 12, 3, 60, 12}, {97, 88}}},
+      // One miss per wave; the 5th distinct target evicts the 1st.
+      {"engine",
+       parallel,
+       true,
+       {{3, 3}, {97, 3}, {41}, {55, 97, 55}, {7}, {3, 7}}},
+      // The third wave has exactly as many misses as workers.
+      {"farmed",
+       parallel,
+       false,
+       {{3, 97, 3, 41, 55, 41, 7}, {7, 12, 3, 60, 12}, {60, 88, 1},
+        {97, 88, 2, 5}}},
+  };
+  const obs::Counter sweeps =
+      obs::default_registry().counter("parallel_bfs.sweeps");
   const auto g = make_grid2d(10, 10);
-  const TargetDistanceCache reference(g, 4);
-  const std::vector<NodeId> wave = {3, 97, 3, 41, 55, 41, 7};
-  for (const auto width : kWidths) {
-    const TargetDistanceCache narrow(g, 4, {}, width);
-    std::vector<DistVecPtr> pins, ref_pins;
-    narrow.prefetch_into(wave, pins);
-    reference.prefetch_into(wave, ref_pins);
-    ASSERT_EQ(pins.size(), wave.size());
-    for (std::size_t i = 0; i < wave.size(); ++i) {
-      ASSERT_TRUE(*pins[i] == *ref_pins[i])
-          << width_token(width) << " wave slot " << i;
+  for (const Branch& branch : branches) {
+    const TargetDistanceCache reference(g, 4, branch.policy);
+    std::vector<std::unique_ptr<TargetDistanceCache>> caches;
+    for (const auto width : kWidths) {
+      caches.push_back(
+          std::make_unique<TargetDistanceCache>(g, 4, branch.policy, width));
     }
-    // Duplicate targets share one row (identity, not just equality).
-    EXPECT_TRUE(pins[0] == pins[2]);
-    EXPECT_TRUE(pins[3] == pins[5]);
+    std::vector<DistVecPtr> ref_pins;
+    std::vector<std::vector<DistVecPtr>> pins(caches.size());
+    for (std::size_t w = 0; w < branch.waves.size(); ++w) {
+      const auto& wave = branch.waves[w];
+      reference.prefetch_into(wave, ref_pins);
+      for (std::size_t c = 0; c < caches.size(); ++c) {
+        const auto& cache = *caches[c];
+        const char* width = width_token(cache.width());
+        const std::uint64_t sweeps_before = sweeps.value();
+        const std::size_t misses_before = cache.misses();
+        cache.prefetch_into(wave, pins[c]);
+        EXPECT_EQ(sweeps.value() - sweeps_before,
+                  branch.parallel_sweeps ? cache.misses() - misses_before : 0u)
+            << branch.name << " " << width << " wave " << w;
+        ASSERT_EQ(pins[c].size(), wave.size());
+        for (std::size_t i = 0; i < wave.size(); ++i) {
+          ASSERT_TRUE(*pins[c][i] == *ref_pins[i])
+              << branch.name << " " << width << " wave " << w << " slot "
+              << i;
+          // Duplicate targets share one row (identity, not just equality).
+          for (std::size_t j = 0; j < i; ++j) {
+            if (wave[j] == wave[i]) {
+              EXPECT_TRUE(pins[c][j] == pins[c][i]);
+            }
+          }
+        }
+        EXPECT_EQ(cache.hits(), reference.hits())
+            << branch.name << " " << width << " wave " << w;
+        EXPECT_EQ(cache.misses(), reference.misses())
+            << branch.name << " " << width << " wave " << w;
+        EXPECT_EQ(cache.resident_targets(), reference.resident_targets())
+            << branch.name << " " << width << " wave " << w;
+      }
+    }
   }
 }
 

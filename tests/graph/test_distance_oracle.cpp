@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "graph/generators.hpp"
 
@@ -118,21 +119,42 @@ TEST(TargetCache, MemoryBudgetSizesCapacity) {
 }
 
 TEST(TargetCache, ConcurrentAccessConsistent) {
+  // Four threads race misses, hits and evictions on one cache at every
+  // storage width; half of them go through prefetch waves. Concurrent
+  // misses on one target exercise the lost-the-race branches of both
+  // distances_to and the prefetch install pass.
   const auto g = make_grid2d(10, 10);
-  TargetDistanceCache cache(g, 8);
-  std::vector<std::thread> threads;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&cache, &g, &failures] {
-      for (NodeId target = 0; target < 20; ++target) {
-        const auto vec = cache.distances_to(target);
-        if ((*vec)[target] != 0) failures.fetch_add(1);
-        if (vec->size() != g.num_nodes()) failures.fetch_add(1);
-      }
-    });
+  std::vector<std::vector<Dist>> reference;
+  for (NodeId target = 0; target < 21; ++target) {
+    reference.push_back(bfs_distances(g, target));
   }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
+  for (const auto width :
+       {DistWidth::kU8, DistWidth::kU16, DistWidth::kU32}) {
+    TargetDistanceCache cache(g, 8, {}, width);
+    std::vector<std::thread> threads;
+    std::atomic<int> failures{0};
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&cache, &reference, &failures, t] {
+        std::vector<DistVecPtr> pins;
+        for (NodeId target = 0; target < 20; ++target) {
+          if (t % 2 == 0) {
+            if (!(*cache.distances_to(target) == reference[target])) {
+              failures.fetch_add(1);
+            }
+            continue;
+          }
+          const NodeId wave[] = {target, target + 1};
+          cache.prefetch_into(wave, pins);
+          for (std::size_t i = 0; i < 2; ++i) {
+            if (!(*pins[i] == reference[wave[i]])) failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(failures.load(), 0) << width_token(width);
+    EXPECT_LE(cache.resident_targets().size(), cache.capacity());
+  }
 }
 
 }  // namespace
