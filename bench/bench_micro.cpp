@@ -10,6 +10,7 @@
 // added/removed-series reporting and the list golden pins byte-for-byte).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -634,6 +635,95 @@ void run_cold_ball_cells(bench::Harness& h) {
   }
 }
 
+// ---- M7: source-bounded prefetch -------------------------------------------
+// (M6 is reserved for the per-layer ledger.) Hand-timed like M5. One
+// RouteService-shaped wave — the distinct targets of 256 seeded uniform
+// pairs — is prefetched into a fresh TargetDistanceCache twice per
+// family: `prefetch-complete` sweeps every row to exhaustion
+// (prefetch_into), `prefetch-bounded` stops each sweep one level past its
+// deepest source (prefetch_sourced_into). Strict, lower-is-better counts:
+// labeled_entries — finite entries across the wave's rows, the BFS work —
+// and sweeps (cache misses, one per distinct target in both modes).
+// ms_per_wave is loose: best of three fresh caches.
+void run_bounded_prefetch_cells(bench::Harness& h) {
+  using graph::Dist;
+  using graph::NodeId;
+  const unsigned e = h.quick() ? 12 : 16;
+  const auto n = NodeId{1} << e;
+  constexpr std::size_t kPairs = 256;
+  constexpr int kReps = 3;
+
+  for (const std::string& family :
+       {std::string("torus2d"), std::string("gnp8"), std::string("path")}) {
+    Rng rng(h.seed(0xB7F0) ^ e);
+    graph::Graph g;
+    if (family == "torus2d") {
+      const auto side = NodeId{1} << (e / 2);
+      g = graph::make_torus2d(side, n / side);
+    } else if (family == "gnp8") {
+      g = graph::make_connected_gnp(n, 8.0 / static_cast<double>(n), rng);
+    } else {
+      g = graph::make_path(n);
+    }
+    // The wave: distinct targets in first-appearance order, each with the
+    // sources of its pairs.
+    std::vector<NodeId> targets;
+    std::vector<std::vector<NodeId>> sources;
+    Rng pair_rng(h.seed(0xB7F1) ^ e);
+    for (std::size_t i = 0; i < kPairs; ++i) {
+      const auto s = static_cast<NodeId>(random_index(pair_rng, n));
+      const auto t = static_cast<NodeId>(random_index(pair_rng, n));
+      const auto it = std::find(targets.begin(), targets.end(), t);
+      if (it == targets.end()) {
+        targets.push_back(t);
+        sources.push_back({s});
+      } else {
+        sources[static_cast<std::size_t>(it - targets.begin())].push_back(s);
+      }
+    }
+    const std::vector<std::span<const NodeId>> lists(sources.begin(),
+                                                     sources.end());
+
+    for (const bool bounded : {false, true}) {
+      std::size_t labeled_entries = 0;
+      std::size_t sweeps = 0;
+      double best_seconds = 0.0;
+      for (int rep = 0; rep < kReps; ++rep) {
+        const graph::TargetDistanceCache cache(g, targets.size());
+        std::vector<graph::DistVecPtr> pins;
+        nav::Timer timer;
+        if (bounded) {
+          cache.prefetch_sourced_into(targets, lists, pins);
+        } else {
+          cache.prefetch_into(targets, pins);
+        }
+        const double seconds = timer.seconds();
+        if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
+        labeled_entries = 0;
+        for (const auto& pin : pins) {
+          labeled_entries += static_cast<std::size_t>(std::count_if(
+              pin->begin(), pin->end(),
+              [](Dist d) { return d != graph::kInfDist; }));
+        }
+        sweeps = cache.misses();
+      }
+      const char* kernel = bounded ? "prefetch-bounded" : "prefetch-complete";
+      const double ms_per_wave = 1e3 * best_seconds;
+      h.add_cell({{"family", family},
+                  {"kernel", std::string(kernel)},
+                  {"n", static_cast<double>(n)},
+                  {"pairs", static_cast<double>(kPairs)},
+                  {"labeled_entries", static_cast<double>(labeled_entries)},
+                  {"sweeps", static_cast<double>(sweeps)},
+                  {"ms_per_wave", ms_per_wave}});
+      std::printf(
+          "  %-9s n=2^%-2u %-17s labeled entries %11zu  sweeps %4zu"
+          "  %8.3f ms/wave\n",
+          family.c_str(), e, kernel, labeled_entries, sweeps, ms_per_wave);
+    }
+  }
+}
+
 /// ConsoleReporter plus trajectory capture: every per-iteration run becomes
 /// one harness cell keyed by benchmark name; timings and rates are loose
 /// metrics by construction.
@@ -696,6 +786,9 @@ int main(int argc, char** argv) {
   }
   if (!list_only && h.section("M5: cold ball draws (family)")) {
     run_cold_ball_cells(h);
+  }
+  if (!list_only && h.section("M7: source-bounded prefetch (family x mode)")) {
+    run_bounded_prefetch_cells(h);
   }
   // The google-benchmark cells below are recorded section-less: their series
   // keys ({benchmark: BM_*}) predate sections and stay baseline-aligned.

@@ -199,6 +199,11 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
   // The wave's routable (slot, job) pairs in shard order, reused across
   // waves like `pinned`.
   std::vector<std::pair<std::size_t, std::size_t>> routable;
+  // Each shard's sources, handed to the prefetch so a miss sweeps only as
+  // deep as its routes read: one flat buffer and a span per shard over it,
+  // reused across waves like `pinned`.
+  std::vector<graph::NodeId> wave_sources;
+  std::vector<std::span<const graph::NodeId>> shard_sources;
   for (std::size_t lo = 0; lo < shard_jobs.size(); lo += wave) {
     const std::size_t hi = std::min(shard_jobs.size(), lo + wave);
     const std::size_t slots = hi - lo;
@@ -210,9 +215,21 @@ std::vector<routing::RouteResult> RouteService::execute_jobs(
     bool wave_clean = true;
     try {
       if (parallel) {
-        oracle_.prefetch_into(
+        wave_sources.clear();
+        for (std::size_t k = lo; k < hi; ++k) {
+          for (const std::size_t i : shard_jobs[k]) {
+            wave_sources.push_back(jobs[i].source);
+          }
+        }
+        shard_sources.clear();
+        const graph::NodeId* next = wave_sources.data();
+        for (std::size_t k = lo; k < hi; ++k) {
+          shard_sources.emplace_back(next, shard_jobs[k].size());
+          next += shard_jobs[k].size();
+        }
+        oracle_.prefetch_sourced_into(
             std::span<const graph::NodeId>(shard_target).subspan(lo, slots),
-            pinned);
+            shard_sources, pinned);
       } else {
         pinned.clear();
         pinned.reserve(slots);

@@ -10,7 +10,9 @@
 //   1. shard the batch by target (order of first appearance),
 //   2. prefetch shard targets in waves through the oracle's batch interface
 //      (one parallel BFS sweep over the misses; the returned vectors stay
-//      pinned for the wave, immune to LRU eviction),
+//      pinned for the wave, immune to LRU eviction), passing each shard's
+//      sources (prefetch_sourced_into) so a miss's sweep stops one level
+//      past its deepest source — every distance its routes can read,
 //   3. flatten the wave's routable pairs into one (slot, job) list in shard
 //      order, request order within a shard,
 //   4. execute that list across the process-wide WorkerTeam with per-pair

@@ -23,7 +23,7 @@ const char* const kLooseMetrics[] = {
     "real_time_ns",    "cpu_time_ns",
     "items_per_second", "bytes_per_second",
     "nodes_per_sec",   "speedup_vs_scalar",
-    "ms_per_route",
+    "ms_per_route",    "ms_per_wave",
 };
 
 /// Numeric fields that identify a cell (grid coordinates) rather than

@@ -66,6 +66,19 @@ inline bool test_bit(const std::vector<std::uint64_t>& bits, NodeId v) {
   return (bits[v >> 6] >> (v & 63)) & 1u;
 }
 
+/// The stop rule of a source-bounded sweep, run at each level end (every
+/// node at depth `depth` labelled, none deeper): advances `cursor` past the
+/// labelled stop nodes, and when the last one falls at this level — so
+/// D = depth — moves `limit` to D + 1, the last level the sweep labels. The
+/// cursor only moves forward, so a whole sweep reads each stop node once
+/// plus once per level it is still missing.
+inline void advance_stop(std::span<const NodeId> stop, const Dist* out,
+                         Dist depth, std::size_t& cursor, Dist& limit) {
+  if (cursor == stop.size()) return;
+  while (cursor < stop.size() && out[stop[cursor]] != kInfDist) ++cursor;
+  if (cursor == stop.size()) limit = std::min(limit, depth + 1);
+}
+
 }  // namespace
 
 void BfsWorkspace::prepare(std::size_t n) {
@@ -90,8 +103,9 @@ void BfsWorkspace::mark(NodeId v) {
   mark_stamp_[v] = epoch_;
 }
 
-void BfsWorkspace::distances_into(const Graph& g, NodeId source,
-                                  std::span<Dist> out, Dist radius) {
+Dist BfsWorkspace::distances_into(const Graph& g, NodeId source,
+                                  std::span<Dist> out, Dist radius,
+                                  std::span<const NodeId> stop) {
   const std::size_t n = g.num_nodes();
   // A finite radius >= n-1 can never bind (every finite distance is at most
   // n-1), so promote it to the unbounded sweep: callers passing a "huge"
@@ -106,8 +120,7 @@ void BfsWorkspace::distances_into(const Graph& g, NodeId source,
     last_sweep_kind_ = SweepKind::kDirectionOptimizing;
     ++sweep_tally_[static_cast<std::size_t>(SweepKind::kDirectionOptimizing)];
     bfs_metrics().sweep_diropt.inc();
-    diropt_into(g, source, out);
-    return;
+    return diropt_into(g, source, out, stop);
   }
   last_sweep_kind_ = radius == kInfDist ? SweepKind::kScalarFull
                                         : SweepKind::kScalarBounded;
@@ -117,11 +130,12 @@ void BfsWorkspace::distances_into(const Graph& g, NodeId source,
   } else {
     bfs_metrics().sweep_scalar_bounded.inc();
   }
-  distances_into_scalar(g, source, out, radius);
+  return distances_into_scalar(g, source, out, radius, stop);
 }
 
-void BfsWorkspace::distances_into_scalar(const Graph& g, NodeId source,
-                                         std::span<Dist> out, Dist radius) {
+Dist BfsWorkspace::distances_into_scalar(const Graph& g, NodeId source,
+                                         std::span<Dist> out, Dist radius,
+                                         std::span<const NodeId> stop) {
   NAV_REQUIRE(source < g.num_nodes(), "BFS source out of range");
   NAV_REQUIRE(out.size() == g.num_nodes(), "distance output size mismatch");
   // The output doubles as the visited set (unvisited == kInfDist), so the
@@ -130,18 +144,27 @@ void BfsWorkspace::distances_into_scalar(const Graph& g, NodeId source,
   queue_.clear();
   out[source] = 0;
   queue_.push_back(source);
+  // Level by level: queue_[head..level_end) is level `depth`, fully
+  // labelled. `limit` is the last level to label — the radius, or D + 1
+  // once the stop rule fires.
+  Dist limit = radius;
+  std::size_t cursor = 0;
   std::size_t head = 0;
-  while (head < queue_.size()) {
-    const NodeId u = queue_[head++];
-    const Dist du = out[u];
-    if (du >= radius) continue;  // children would exceed the radius
-    for (const NodeId v : g.neighbors(u)) {
-      if (out[v] == kInfDist) {
-        out[v] = du + 1;
-        queue_.push_back(v);
+  for (Dist depth = 0; head < queue_.size(); ++depth) {
+    advance_stop(stop, out.data(), depth, cursor, limit);
+    if (depth >= limit) return limit;  // children would exceed the limit
+    const std::size_t level_end = queue_.size();
+    const Dist next_depth = depth + 1;
+    for (; head < level_end; ++head) {
+      for (const NodeId v : g.neighbors(queue_[head])) {
+        if (out[v] == kInfDist) {
+          out[v] = next_depth;
+          queue_.push_back(v);
+        }
       }
     }
   }
+  return kInfDist;
 }
 
 void BfsWorkspace::ensure_bitmaps(std::size_t words) {
@@ -152,8 +175,9 @@ void BfsWorkspace::ensure_bitmaps(std::size_t words) {
   }
 }
 
-void BfsWorkspace::diropt_into(const Graph& g, NodeId source,
-                               std::span<Dist> out) {
+Dist BfsWorkspace::diropt_into(const Graph& g, NodeId source,
+                               std::span<Dist> out,
+                               std::span<const NodeId> stop) {
   const std::size_t n = g.num_nodes();
   NAV_REQUIRE(source < n, "BFS source out of range");
   NAV_REQUIRE(out.size() == n, "distance output size mismatch");
@@ -186,8 +210,13 @@ void BfsWorkspace::diropt_into(const Graph& g, NodeId source,
   bool bottom_up = false;
   bool growing = true;  // frontier larger than its predecessor?
   bool bits_live = false;  // visited_bits_ opened this sweep?
+  Dist limit = kInfDist;  // last level to label (the stop rule sets it)
+  std::size_t cursor = 0;
 
   while (frontier_count > 0) {
+    // Every node at `depth` is labelled here, in either direction.
+    advance_stop(stop, out.data(), depth, cursor, limit);
+    if (depth >= limit) return limit;
     // Beamer's switch gate needs both conditions: a frontier rich in
     // out-edges AND still growing. Past the sweep's midpoint frontiers
     // shrink while unexplored edges run out, and flipping there would make
@@ -306,6 +335,7 @@ void BfsWorkspace::diropt_into(const Graph& g, NodeId source,
       ++depth;
     }
   }
+  return kInfDist;
 }
 
 void BfsWorkspace::multi_source_into(const Graph& g,
@@ -510,8 +540,9 @@ void ParallelBfs::rebuild_frontier(std::size_t words, std::size_t next_count) {
   });
 }
 
-void ParallelBfs::distances_into(const Graph& g, NodeId source,
-                                 std::span<Dist> out, Dist radius) {
+Dist ParallelBfs::distances_into(const Graph& g, NodeId source,
+                                 std::span<Dist> out, Dist radius,
+                                 std::span<const NodeId> stop) {
   const std::size_t n = g.num_nodes();
   NAV_REQUIRE(source < n, "BFS source out of range");
   NAV_REQUIRE(out.size() == n, "distance output size mismatch");
@@ -523,8 +554,7 @@ void ParallelBfs::distances_into(const Graph& g, NodeId source,
   }
   const std::size_t lanes = team_.thread_count();
   if (lanes <= 1 || n < 2) {
-    serial_ws_.distances_into(g, source, out, radius);
-    return;
+    return serial_ws_.distances_into(g, source, out, radius, stop);
   }
 
   const std::size_t words = (n + 63) / 64;
@@ -566,9 +596,14 @@ void ParallelBfs::distances_into(const Graph& g, NodeId source,
   bfs_metrics().parallel_sweeps.inc();
   std::uint64_t levels_parallel = 0;
   std::uint64_t levels_inline = 0;
+  // The last level to label: the radius, or D + 1 once the stop rule fires
+  // (checked after each level's barrier, when the level is fully labelled).
+  Dist limit = radius;
+  std::size_t cursor = 0;
 
   while (frontier_count_ > 0) {
-    if (depth >= radius) break;  // children would exceed the radius
+    advance_stop(stop, dist, depth, cursor, limit);
+    if (depth >= limit) break;  // children would exceed the limit
     if (allow_bottom_up) {
       // The scalar engine's Beamer hysteresis, verbatim: flip down only
       // while the frontier is rich AND growing, flip back once it shrinks
@@ -710,6 +745,7 @@ void ParallelBfs::distances_into(const Graph& g, NodeId source,
 
   if (levels_parallel > 0) bfs_metrics().parallel_levels.inc(levels_parallel);
   if (levels_inline > 0) bfs_metrics().inline_levels.inc(levels_inline);
+  return frontier_count_ > 0 ? limit : kInfDist;
 }
 
 ParallelBfs& shared_parallel_bfs() {

@@ -140,13 +140,26 @@ class BfsWorkspace {
   /// unbounded direction-optimizing sweep instead of silently degrading to
   /// a bounded scan of the whole graph — last_sweep_kind() exposes the
   /// decision. Zero allocations once warm.
-  void distances_into(const Graph& g, NodeId source, std::span<Dist> out,
-                      Dist radius = kInfDist);
+  ///
+  /// `stop` bounds the sweep by a set of nodes instead of a fixed radius:
+  /// once every stop node is labelled, at depth D = max d(source, stop), the
+  /// sweep labels level D + 1 and ends, so out is exact on B(source, D + 1)
+  /// and kInfDist beyond. An empty set, or one holding a node the source
+  /// cannot reach, sweeps to exhaustion. Returns the depth through which out
+  /// is exact: the binding radius or D + 1, or kInfDist when the sweep ran
+  /// out of frontier (out is then the complete row).
+  Dist distances_into(const Graph& g, NodeId source, std::span<Dist> out,
+                      Dist radius = kInfDist,
+                      std::span<const NodeId> stop = {});
 
   /// The scalar reference kernel behind distances_into — public so
   /// differential tests can pin the direction-optimizing kernel against it.
-  void distances_into_scalar(const Graph& g, NodeId source, std::span<Dist> out,
-                             Dist radius = kInfDist);
+  /// Same radius, stop and return contract. 64-byte aligned like
+  /// diropt_into, so an unrelated edit cannot shift the hot loop's code
+  /// layout.
+  __attribute__((aligned(64))) Dist distances_into_scalar(
+      const Graph& g, NodeId source, std::span<Dist> out,
+      Dist radius = kInfDist, std::span<const NodeId> stop = {});
 
   /// Multi-source distances (distance to the nearest source) into out.
   void multi_source_into(const Graph& g, std::span<const NodeId> sources,
@@ -183,7 +196,11 @@ class BfsWorkspace {
   [[nodiscard]] FarthestResult farthest(const Graph& g, NodeId source);
 
  private:
-  void diropt_into(const Graph& g, NodeId source, std::span<Dist> out);
+  /// 64-byte aligned: the hot BFS loop's speed depends on its code layout,
+  /// so pin it against edits elsewhere in the library.
+  __attribute__((aligned(64))) Dist diropt_into(
+      const Graph& g, NodeId source, std::span<Dist> out,
+      std::span<const NodeId> stop);
   void ensure_bitmaps(std::size_t words);
 
   std::vector<std::uint16_t> stamp_;       // visited iff stamp_[v] == epoch_
@@ -274,11 +291,14 @@ class ParallelBfs {
   }
 
   /// Single-source distances into out (size n; unreached entries keep
-  /// kInfDist), frontier-bounded when radius binds — the parallel equivalent
-  /// of BfsWorkspace::distances_into, bit-identical to it (and to the scalar
-  /// reference) at every worker count.
-  void distances_into(const Graph& g, NodeId source, std::span<Dist> out,
-                      Dist radius = kInfDist);
+  /// kInfDist), frontier-bounded when radius binds or once every `stop`
+  /// node is labelled — the parallel equivalent of
+  /// BfsWorkspace::distances_into, with the same return value, and
+  /// bit-identical to it (and to the scalar reference) at every worker
+  /// count.
+  Dist distances_into(const Graph& g, NodeId source, std::span<Dist> out,
+                      Dist radius = kInfDist,
+                      std::span<const NodeId> stop = {});
 
  private:
   struct LaneStats {

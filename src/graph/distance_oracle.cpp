@@ -100,6 +100,14 @@ void DistanceOracle::prefetch_into(std::span<const NodeId> targets,
   for (const NodeId t : targets) out.push_back(distances_to(t));
 }
 
+void DistanceOracle::prefetch_sourced_into(
+    std::span<const NodeId> targets,
+    std::span<const std::span<const NodeId>> sources,
+    std::vector<DistVecPtr>& out) const {
+  (void)sources;  // complete rows are exact everywhere
+  prefetch_into(targets, out);
+}
+
 DistanceMatrix::DistanceMatrix(const Graph& g, ParallelPolicy policy,
                                DistWidth width)
     : n_(g.num_nodes()), policy_(policy), width_(width) {
@@ -231,15 +239,31 @@ Dist TargetDistanceCache::distance(NodeId u, NodeId target) const {
     std::lock_guard lock(mutex_);
     const auto it = cache_.find(target);
     if (it != cache_.end()) {
-      ++hits_;
-      oracle_metrics().hits.inc();
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       // Point query straight off the packed row: no widening, no pin, no
-      // allocation.
-      return widen_entry(it->second.packed.get(), width_, u);
+      // allocation. A labelled entry is exact; an unlabelled one is only
+      // known to be unreachable on a complete row — past a truncated row's
+      // exact_through, distances_to upgrades the row instead.
+      const Dist d = widen_entry(it->second.packed.get(), width_, u);
+      if (d != kInfDist || it->second.exact_through == kInfDist) {
+        ++hits_;
+        oracle_metrics().hits.inc();
+        lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+        return d;
+      }
     }
   }
   return (*distances_to(target))[u];
+}
+
+bool TargetDistanceCache::covers(
+    const Entry& entry, std::span<const NodeId> sources) const noexcept {
+  if (entry.exact_through == kInfDist) return true;
+  if (sources.empty()) return false;
+  // row[s] < exact_through: s is labelled (so row[s] = d(s, t) exactly)
+  // and B(t, d(s, t) + 1) lies inside the exact region.
+  return std::all_of(sources.begin(), sources.end(), [&](NodeId s) {
+    return widen_entry(entry.packed.get(), width_, s) < entry.exact_through;
+  });
 }
 
 bool TargetDistanceCache::windowed(const Entry& entry) const noexcept {
@@ -300,10 +324,13 @@ DistVecPtr TargetDistanceCache::resident_row_locked(NodeId target,
 
 DistVecPtr TargetDistanceCache::install_locked(
     NodeId target, std::shared_ptr<Dist> row,
-    std::shared_ptr<std::uint8_t> packed) const {
+    std::shared_ptr<std::uint8_t> packed, Dist exact_through) const {
+  const auto resident = cache_.find(target);
+  if (resident != cache_.end()) erase_locked(resident);
   lru_.push_front(target);
   Entry entry{lru_.begin(), std::move(packed),
-              DistVecPtr{std::move(row), graph_.num_nodes()}, {}};
+              DistVecPtr{std::move(row), graph_.num_nodes()}, {},
+              exact_through};
   if (windowed(entry)) {
     wide_lru_.push_front(target);
     entry.wide_it = wide_lru_.begin();
@@ -326,6 +353,13 @@ void TargetDistanceCache::evict_overflow_locked() const {
   if (evicted > 0) oracle_metrics().evictions.inc(evicted);
 }
 
+void TargetDistanceCache::erase_locked(
+    std::unordered_map<NodeId, Entry>::iterator it) const {
+  if (windowed(it->second)) wide_lru_.erase(it->second.wide_it);
+  lru_.erase(it->second.lru_it);
+  cache_.erase(it);  // the slots recycle once the last pins drop
+}
+
 DistVecPtr TargetDistanceCache::distances_to(NodeId target) const {
   NAV_ASSERT(target < graph_.num_nodes());
   const std::size_t n = graph_.num_nodes();
@@ -334,7 +368,9 @@ DistVecPtr TargetDistanceCache::distances_to(NodeId target) const {
   {
     std::lock_guard lock(mutex_);
     const auto it = cache_.find(target);
-    if (it != cache_.end()) {
+    // A complete resident row is a hit; a truncated one is upgraded to a
+    // complete row below, as a miss.
+    if (it != cache_.end() && it->second.exact_through == kInfDist) {
       ++hits_;
       oracle_metrics().hits.inc();
       return serve_locked(target, it->second);
@@ -346,17 +382,18 @@ DistVecPtr TargetDistanceCache::distances_to(NodeId target) const {
     row = staging_row_locked(packed);
   }
   // Concurrent misses on the same target may compute it twice; both rows
-  // are identical, and the second install keeps the first.
+  // are identical, and the second install keeps the first complete one.
   local_bfs_workspace().distances_into(graph_, target, {row.get(), n});
   if (pack_staged({row.get(), n}, width_, packed.get())) {
     throw_width_saturated(width_);
   }
   std::lock_guard lock(mutex_);
   const auto it = cache_.find(target);
-  if (it != cache_.end()) {  // lost the race: keep the winner's row
-    return resident_row_locked(target, it->second);
+  if (it != cache_.end() && it->second.exact_through == kInfDist) {
+    return resident_row_locked(target, it->second);  // lost the race
   }
-  DistVecPtr result = install_locked(target, std::move(row), std::move(packed));
+  DistVecPtr result =
+      install_locked(target, std::move(row), std::move(packed), kInfDist);
   evict_overflow_locked();
   return result;
 }
@@ -369,7 +406,7 @@ std::vector<NodeId> TargetDistanceCache::resident_targets() const {
 DistVecPtr TargetDistanceCache::peek(NodeId target) const {
   std::lock_guard lock(mutex_);
   const auto it = cache_.find(target);
-  if (it == cache_.end()) return {};
+  if (it == cache_.end() || it->second.exact_through != kInfDist) return {};
   if (it->second.distances != nullptr) return it->second.distances;
   // Packed-only resident on a narrow cache: hand out a private widened copy
   // without perturbing the window (peek must not change cache state).
@@ -381,9 +418,7 @@ bool TargetDistanceCache::erase(NodeId target) {
   std::lock_guard lock(mutex_);
   const auto it = cache_.find(target);
   if (it == cache_.end()) return false;
-  if (windowed(it->second)) wide_lru_.erase(it->second.wide_it);
-  lru_.erase(it->second.lru_it);
-  cache_.erase(it);  // the slot recycles once the last pin drops
+  erase_locked(it);
   return true;
 }
 
@@ -402,8 +437,17 @@ namespace {
 struct PrefetchScratch {
   std::vector<std::size_t> table;      // probe slot -> input index + 1; 0 = empty
   std::vector<std::size_t> first_of;   // input index -> first occurrence index
+  // Sourced waves: each distinct target's merged stop list, indexed by its
+  // first occurrence — stop[stop_begin[f] .. + stop_len[f]); empty asks for
+  // the complete row.
+  std::vector<NodeId> stop;
+  std::vector<std::size_t> stop_begin, stop_len;
   std::vector<NodeId> missing;         // distinct targets needing a BFS
   std::vector<std::size_t> miss_slot;  // their positions in the output
+  // Per miss: the stop set its sweep runs with (empty for a complete row,
+  // which every upgrade is) and the depth through which the result is exact.
+  std::vector<std::span<const NodeId>> miss_stop;
+  std::vector<Dist> exact_through;
   // Storage pre-acquired for the misses: the packed rows and the Dist rows
   // their BFS writes (the packed rows themselves at u32).
   std::vector<std::shared_ptr<std::uint8_t>> packed;
@@ -419,14 +463,14 @@ unsigned prepare_dedup(PrefetchScratch& scratch, std::size_t wave) {
   if (scratch.first_of.size() < wave) scratch.first_of.resize(wave);
   scratch.missing.clear();
   scratch.miss_slot.clear();
+  scratch.miss_stop.clear();
   return 64u - static_cast<unsigned>(std::countr_zero(cap));
 }
 
-/// Dedup probe: returns the first-occurrence index of targets[i] (i itself
-/// when this is the first sighting).
-std::size_t dedup_probe(PrefetchScratch& scratch,
-                        std::span<const NodeId> targets, std::size_t i,
-                        unsigned shift) {
+/// Dedup probe: records the first-occurrence index of targets[i] in
+/// first_of[i] (i itself when this is the first sighting).
+void dedup_probe(PrefetchScratch& scratch, std::span<const NodeId> targets,
+                 std::size_t i, unsigned shift) {
   const NodeId t = targets[i];
   const std::size_t cap = std::size_t{1}
                           << (64u - shift);  // table size in use
@@ -437,13 +481,50 @@ std::size_t dedup_probe(PrefetchScratch& scratch,
     if (stored == 0) {
       scratch.table[slot] = i + 1;
       scratch.first_of[i] = i;
-      return i;
+      return;
     }
     if (targets[stored - 1] == t) {
       scratch.first_of[i] = stored - 1;
-      return stored - 1;
+      return;
     }
     slot = (slot + 1) & (cap - 1);
+  }
+}
+
+/// Merges the stop lists of each distinct target's occurrences into one
+/// list per first occurrence (first_of must be filled). A target any of
+/// whose occurrences asks for the complete row gets an empty list.
+void merge_stop_lists(PrefetchScratch& scratch,
+                      std::span<const std::span<const NodeId>> sources) {
+  constexpr std::size_t kComplete = ~std::size_t{0};
+  const std::size_t wave = sources.size();
+  auto& len = scratch.stop_len;
+  auto& begin = scratch.stop_begin;
+  len.assign(wave, 0);
+  if (begin.size() < wave) begin.resize(wave);
+  for (std::size_t i = 0; i < wave; ++i) {
+    std::size_t& f_len = len[scratch.first_of[i]];
+    if (f_len == kComplete) continue;
+    f_len = sources[i].empty() ? kComplete : f_len + sources[i].size();
+  }
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < wave; ++i) {
+    if (scratch.first_of[i] != i) continue;
+    if (len[i] == kComplete) len[i] = 0;
+    begin[i] = total;
+    total += len[i];
+  }
+  scratch.stop.resize(total);
+  // Fill, advancing each list's begin as its write cursor, then rewind.
+  for (std::size_t i = 0; i < wave; ++i) {
+    const std::size_t f = scratch.first_of[i];
+    if (len[f] == 0) continue;
+    std::copy(sources[i].begin(), sources[i].end(),
+              scratch.stop.begin() + static_cast<std::ptrdiff_t>(begin[f]));
+    begin[f] += sources[i].size();
+  }
+  for (std::size_t i = 0; i < wave; ++i) {
+    if (scratch.first_of[i] == i) begin[i] -= len[i];
   }
 }
 
@@ -451,6 +532,22 @@ std::size_t dedup_probe(PrefetchScratch& scratch,
 
 void TargetDistanceCache::prefetch_into(std::span<const NodeId> targets,
                                         std::vector<DistVecPtr>& out) const {
+  prefetch_wave(targets, {}, out);
+}
+
+void TargetDistanceCache::prefetch_sourced_into(
+    std::span<const NodeId> targets,
+    std::span<const std::span<const NodeId>> sources,
+    std::vector<DistVecPtr>& out) const {
+  NAV_REQUIRE(sources.size() == targets.size(),
+              "one source list per prefetch target");
+  prefetch_wave(targets, sources, out);
+}
+
+void TargetDistanceCache::prefetch_wave(
+    std::span<const NodeId> targets,
+    std::span<const std::span<const NodeId>> sources,
+    std::vector<DistVecPtr>& out) const {
   NAV_OBS_SPAN("oracle.prefetch_wave", "targets",
                static_cast<double>(targets.size()));
   out.clear();
@@ -461,35 +558,50 @@ void TargetDistanceCache::prefetch_into(std::span<const NodeId> targets,
   auto& scratch = nav::thread_scratch<PrefetchScratch>();
   const unsigned shift = prepare_dedup(scratch, targets.size());
   const std::size_t n = graph_.num_nodes();
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    NAV_ASSERT(targets[i] < graph_.num_nodes());
+    dedup_probe(scratch, targets, i, shift);
+  }
+  if (!sources.empty()) merge_stop_lists(scratch, sources);
+  // What the first occurrence f's row must cover (empty: the complete row).
+  const auto request = [&](std::size_t f) -> std::span<const NodeId> {
+    if (sources.empty()) return {};
+    return {scratch.stop.data() + scratch.stop_begin[f], scratch.stop_len[f]};
+  };
 
-  // Pass 1 (under the lock): dedup the wave, serve residents, list misses
-  // and pre-acquire their storage — window eviction needs the lock anyway.
-  // Registry increments are batched per wave (one shard write per counter,
-  // after the loop) instead of per target.
+  // Pass 1 (under the lock): serve residents that cover their request, list
+  // misses and upgrades, and pre-acquire their storage — window eviction
+  // needs the lock anyway. Registry increments are batched per wave (one
+  // shard write per counter, after the loop) instead of per target.
   std::size_t wave_hits = 0;
   {
     std::lock_guard lock(mutex_);
     for (std::size_t i = 0; i < targets.size(); ++i) {
       const NodeId t = targets[i];
-      NAV_ASSERT(t < graph_.num_nodes());
-      if (dedup_probe(scratch, targets, i, shift) != i) {
+      if (scratch.first_of[i] != i) {
         ++hits_;  // served by the first occurrence's row
         ++wave_hits;
         continue;
       }
       const auto it = cache_.find(t);
-      if (it != cache_.end()) {
+      if (it != cache_.end() && covers(it->second, request(i))) {
         ++hits_;
         ++wave_hits;
         out[i] = serve_locked(t, it->second);
-      } else {
-        ++misses_;
-        scratch.missing.push_back(t);
-        scratch.miss_slot.push_back(i);
+        continue;
       }
+      // A miss sweeps only as far as its sources need; a resident row too
+      // shallow for them is upgraded to the complete row, so the target
+      // cannot be upgraded again while it stays resident.
+      ++misses_;
+      scratch.missing.push_back(t);
+      scratch.miss_slot.push_back(i);
+      scratch.miss_stop.push_back(
+          it != cache_.end() ? std::span<const NodeId>{} : request(i));
     }
     scratch.packed.resize(scratch.missing.size());
     scratch.staged.resize(scratch.missing.size());
+    scratch.exact_through.resize(scratch.missing.size());
     for (std::size_t k = 0; k < scratch.missing.size(); ++k) {
       scratch.packed[k] = acquire_packed();
       scratch.staged[k] = staging_row_locked(scratch.packed[k]);
@@ -508,7 +620,8 @@ void TargetDistanceCache::prefetch_into(std::span<const NodeId> targets,
   std::atomic<bool> saturated{false};
   const auto fill = [&](auto& bfs, std::size_t k) {
     const std::span<Dist> row{scratch.staged[k].get(), n};
-    bfs.distances_into(graph_, scratch.missing[k], row);
+    scratch.exact_through[k] = bfs.distances_into(
+        graph_, scratch.missing[k], row, kInfDist, scratch.miss_stop[k]);
     if (pack_staged(row, width_, scratch.packed[k].get())) {
       saturated.store(true, std::memory_order_relaxed);
     }
@@ -537,18 +650,22 @@ void TargetDistanceCache::prefetch_into(std::span<const NodeId> targets,
     throw_width_saturated(width_);
   }
 
-  // Pass 3 (under the lock): install the new rows, newest-first LRU.
+  // Pass 3 (under the lock): install the new rows, newest-first LRU. A row
+  // a concurrent caller installed meanwhile is kept when it covers this
+  // wave's request; otherwise ours replaces it.
   if (!scratch.missing.empty()) {
     std::lock_guard lock(mutex_);
     for (std::size_t k = 0; k < scratch.missing.size(); ++k) {
       const NodeId t = scratch.missing[k];
+      const std::size_t slot = scratch.miss_slot[k];
       const auto it = cache_.find(t);
-      if (it != cache_.end()) {  // a concurrent caller raced us: keep theirs
-        out[scratch.miss_slot[k]] = resident_row_locked(t, it->second);
+      if (it != cache_.end() && covers(it->second, request(slot))) {
+        out[slot] = resident_row_locked(t, it->second);
         continue;
       }
-      out[scratch.miss_slot[k]] = install_locked(
-          t, std::move(scratch.staged[k]), std::move(scratch.packed[k]));
+      out[slot] = install_locked(t, std::move(scratch.staged[k]),
+                                 std::move(scratch.packed[k]),
+                                 scratch.exact_through[k]);
     }
     evict_overflow_locked();
   }

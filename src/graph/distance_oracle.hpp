@@ -1,7 +1,11 @@
 // distance_oracle.hpp — distance services for the greedy router.
 //
-// Greedy routing only ever asks "dist_G(x, t)" for the *current target* t.
-// Two strategies, behind one interface:
+// Greedy routing only ever asks "dist_G(x, t)" for the *current target* t,
+// and only near the route: every hop strictly descends, so a route from s
+// reads distances that can change a decision only inside B(t, d(s, t) + 1)
+// (the contract Router::route_resolved documents). A batch that knows its
+// sources can therefore ask for rows exact only that far
+// (prefetch_sourced_into). Two strategies, behind one interface:
 //   * DistanceMatrix — all-pairs table (parallel all-source BFS). O(n²) words;
 //     right choice for n up to ~2·10⁴ and for tests needing arbitrary queries.
 //   * TargetDistanceCache — one BFS per distinct target, LRU-capped. Right
@@ -128,6 +132,20 @@ class DistanceOracle {
   virtual void prefetch_into(std::span<const NodeId> targets,
                              std::vector<DistVecPtr>& out) const;
 
+  /// Source-bounded prefetch_into: out[i] only has to be exact on
+  /// B(targets[i], D + 1), where D = max over sources[i] of
+  /// d(s, targets[i]) — every distance a route from one of those sources
+  /// reads (Router::route_resolved). Entries farther out may read kInfDist.
+  /// `sources` has one list per target; an empty list asks for the
+  /// complete row, and so does a source the target cannot reach. Rows are
+  /// pinned exactly as in prefetch_into. The base implementation forwards
+  /// to prefetch_into, so every oracle that does not override it hands out
+  /// complete rows, which satisfy this contract trivially.
+  virtual void prefetch_sourced_into(
+      std::span<const NodeId> targets,
+      std::span<const std::span<const NodeId>> sources,
+      std::vector<DistVecPtr>& out) const;
+
   /// Allocating convenience wrapper over prefetch_into.
   [[nodiscard]] std::vector<DistVecPtr> prefetch(
       std::span<const NodeId> targets) const {
@@ -223,6 +241,13 @@ struct MemoryBudget {
 /// capacity. distance() reads single packed entries in place at every width
 /// and never widens a row. A BFS row whose true distances exceed the width's
 /// max_finite throws std::invalid_argument.
+///
+/// Rows from a sourced wave (prefetch_sourced_into) are exact only through
+/// their entry's exact_through depth; they serve sourced requests they
+/// cover, and anything else — distances_to, a deeper request, a point query
+/// past that depth — recomputes the complete row once (an upgrade, counted
+/// as a miss). A truncated row can fit a narrow width its complete row
+/// overflows; its upgrade then throws like any saturated miss.
 class TargetDistanceCache final : public DistanceOracle {
  public:
   /// Widened rows kept alive for narrow-width caches (u32 rows need none):
@@ -272,6 +297,18 @@ class TargetDistanceCache final : public DistanceOracle {
   void prefetch_into(std::span<const NodeId> targets,
                      std::vector<DistVecPtr>& out) const override;
 
+  /// The same wave body with a stop set per target: a miss runs a
+  /// source-bounded sweep (BfsWorkspace::distances_into with `stop`), which
+  /// labels B(t, D + 1) and stops, and the entry records that depth as its
+  /// exact_through. A resident row serves a sourced request when it is
+  /// complete or when every source s has row[s] < exact_through; otherwise
+  /// the target is recomputed as a complete row (an "upgrade", counted as a
+  /// miss), so a target is upgraded at most once per residency.
+  /// Duplicate targets merge their source lists.
+  void prefetch_sourced_into(std::span<const NodeId> targets,
+                             std::span<const std::span<const NodeId>> sources,
+                             std::vector<DistVecPtr>& out) const override;
+
   /// Number of resident vectors the LRU may hold.
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Storage width of resident rows.
@@ -288,7 +325,9 @@ class TargetDistanceCache final : public DistanceOracle {
 
   /// The resident row for `target` without bumping the LRU or the hit/miss
   /// counters; empty handle when not resident. Lets the invalidation scan
-  /// read rows without perturbing cache telemetry or eviction order.
+  /// read rows without perturbing cache telemetry or eviction order. A row
+  /// a sourced wave left exact only near its sources is not handed out
+  /// either (empty handle): peek never answers from beyond exact_through.
   [[nodiscard]] DistVecPtr peek(NodeId target) const;
 
   /// Drops `target` if resident (its arena slot recycles once the last pin
@@ -310,9 +349,24 @@ class TargetDistanceCache final : public DistanceOracle {
     DistVecPtr distances;
     /// Valid iff windowed(): this target's position in wide_lru_.
     std::list<NodeId>::iterator wide_it;
+    /// The depth through which the row is exact: kInfDist for a complete
+    /// row, D + 1 for one a source-bounded sweep stopped early (entries past
+    /// it read kInfDist whatever their true distance). distances_to,
+    /// distance() and peek() never answer from beyond it.
+    Dist exact_through = kInfDist;
   };
 
+  /// The one prefetch body: `sources` is empty (every row complete) or
+  /// holds one stop list per target.
+  void prefetch_wave(std::span<const NodeId> targets,
+                     std::span<const std::span<const NodeId>> sources,
+                     std::vector<DistVecPtr>& out) const;
+
   // All *_locked helpers run under mutex_.
+  /// True when `entry`'s row is exact on B(t, d(s, t) + 1) for every s in
+  /// `sources`; an empty list asks for the complete row.
+  [[nodiscard]] bool covers(const Entry& entry,
+                            std::span<const NodeId> sources) const noexcept;
   /// True when `entry` holds a wide-window slot (narrow widths only).
   [[nodiscard]] bool windowed(const Entry& entry) const noexcept;
   /// A packed-row slot (heap spill when every arena slot is pinned).
@@ -327,9 +381,13 @@ class TargetDistanceCache final : public DistanceOracle {
   /// The resident row without bumping the LRU, widening a packed-only
   /// narrow entry into the window.
   DistVecPtr resident_row_locked(NodeId target, Entry& entry) const;
-  /// Installs a freshly computed row for `target` at the LRU front.
+  /// Installs a freshly computed row for `target` at the LRU front,
+  /// replacing a resident row that did not cover its request.
   DistVecPtr install_locked(NodeId target, std::shared_ptr<Dist> row,
-                            std::shared_ptr<std::uint8_t> packed) const;
+                            std::shared_ptr<std::uint8_t> packed,
+                            Dist exact_through) const;
+  /// Drops one resident entry (its slots recycle once the last pin drops).
+  void erase_locked(std::unordered_map<NodeId, Entry>::iterator it) const;
   /// Evicts main-LRU overflow, maintaining the wide window and the
   /// eviction counter.
   void evict_overflow_locked() const;

@@ -56,9 +56,12 @@ class GreedyRouter final : public Router {
   [[nodiscard]] const Graph& graph() const noexcept override { return graph_; }
 
  private:
+  /// 64-byte aligned: the greedy step loop is the hot routing kernel, and its
+  /// speed depends on code layout; pin it against edits elsewhere.
   template <typename ContactFn>
-  RouteResult route_impl(NodeId s, NodeId t, std::span<const Dist> dist,
-                         ContactFn&& contact_of, bool record_trace) const;
+  __attribute__((aligned(64))) RouteResult route_impl(
+      NodeId s, NodeId t, std::span<const Dist> dist, ContactFn&& contact_of,
+      bool record_trace) const;
 
   const Graph& graph_;
   const graph::DistanceOracle& oracle_;

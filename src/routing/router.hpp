@@ -72,6 +72,17 @@ class Router {
   /// entirely — results are identical to route() by construction. The base
   /// implementation ignores the hint and forwards to route(), so custom
   /// routers stay correct without overriding.
+  ///
+  /// `target_dist` need only be exact on B(t, target_dist[s] + 1): entries
+  /// farther out may read kInfDist (DistanceOracle::prefetch_sourced_into
+  /// hands out such rows). An implementation must return the same result
+  /// for any such row. The greedy and lookahead routers do: on an exact
+  /// field every committed hop descends from d(s, t), so each node they
+  /// stand on is within d(s, t) of t and its local neighbours within
+  /// d(s, t) + 1; a long-range contact or a lookahead chain node outside
+  /// that ball is farther than every candidate that wins, whether it reads
+  /// its true distance or kInfDist. tests/routing/
+  /// test_truncated_row_contract.cpp pins this across every family.
   [[nodiscard]] virtual RouteResult route_resolved(
       NodeId s, NodeId t, std::span<const Dist> target_dist,
       const AugmentationScheme* scheme, Rng rng,

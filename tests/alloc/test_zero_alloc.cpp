@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "api/route_service.hpp"
 #include "core/ball_scheme.hpp"
 #include "core/uniform_scheme.hpp"
 #include "graph/bfs_engine.hpp"
@@ -488,6 +489,61 @@ TEST(ZeroAlloc, WarmFaultFreeFaultyOracleHitAllocatesNothing) {
       << "a warm fault-free FaultyOracle hit must stay allocation-free";
   EXPECT_GT(hops, 0u);
   EXPECT_EQ(faulty.injected_failures(), 0u);
+}
+
+TEST(ZeroAlloc, WarmSourcedServiceWaveAddsOnlyPerMissBookkeeping) {
+  // RouteService hands each wave's shard sources to the cache
+  // (prefetch_sourced_into) through buffers reused across waves, like the
+  // pins. Two batches of one shape — 8 shards x 4 jobs, in waves of 2 —
+  // differ only in what the cache has to do: the first is all hits on
+  // truncated rows, the second has one miss (a new truncated row) and one
+  // upgrade (a shard whose source lies past its row's exact depth). The
+  // second may allocate at most the per-miss LRU bookkeeping more (LRU node,
+  // map node, slot control block; an upgrade also drops its old entry), and
+  // no row may spill to the heap.
+  const auto g = make_torus2d(64, 64);
+  TargetDistanceCache cache(g, 16, ParallelPolicy::serial());
+  const routing::GreedyRouter router(g, cache);
+  api::RouteServiceOptions options;
+  options.max_pinned_targets = 2;
+  const api::RouteService service(g, cache, nullptr, router, options);
+  const auto batch = [](std::span<const NodeId> targets, NodeId reach) {
+    std::vector<api::RouteJob> jobs;
+    for (const NodeId t : targets) {
+      for (NodeId j = 0; j < 4; ++j) {
+        jobs.push_back({(t + j * 64) % 4096, t, Rng(t * 4 + j)});
+      }
+    }
+    jobs.back().source = (targets.back() + reach) % 4096;
+    return jobs;
+  };
+  // Warm: grow the arena to all its slots, then empty the cache.
+  for (NodeId t = 1000; t < 1017; ++t) (void)cache.distances_to(t);
+  cache.clear();
+  const NodeId resident[] = {0, 1, 2, 3, 4, 5, 6, 7};
+  (void)service.route_jobs(batch(resident, 1));  // misses: truncated rows
+  (void)service.route_jobs(batch(resident, 1));  // warm: the all-hit shape
+  auto hits = batch(resident, 1);
+  const std::uint64_t hit_before = nav::allocation_count();
+  const std::uint64_t hit_bytes_before = nav::allocation_bytes();
+  (void)service.route_jobs(std::move(hits));
+  const std::uint64_t hit_allocs = nav::allocation_count() - hit_before;
+  const std::uint64_t hit_bytes = nav::allocation_bytes() - hit_bytes_before;
+  ASSERT_EQ(cache.misses(), 17u + 8u);
+
+  // Shard 7 now needs d(7 + 2080, 7) = 32 + 32: past its row, an upgrade.
+  const NodeId mixed[] = {0, 1, 2, 3, 4, 5, 300, 7};
+  auto work = batch(mixed, 2080);
+  const std::uint64_t count_before = nav::allocation_count();
+  const std::uint64_t bytes_before = nav::allocation_bytes();
+  (void)service.route_jobs(std::move(work));
+  const std::uint64_t count = nav::allocation_count() - count_before;
+  const std::uint64_t bytes = nav::allocation_bytes() - bytes_before;
+  EXPECT_EQ(cache.misses(), 17u + 10u);
+  EXPECT_LE(count, hit_allocs + 2u * 4u);
+  EXPECT_LT(bytes, hit_bytes + g.num_nodes() * sizeof(Dist));
+  EXPECT_NE(cache.peek(7), nullptr);    // upgraded: complete
+  EXPECT_EQ(cache.peek(300), nullptr);  // new: truncated
 }
 
 }  // namespace
