@@ -52,8 +52,10 @@ BENCHMARK(BM_GraphBuildGnp)->Arg(1 << 12)->Arg(1 << 16);
 void BM_BfsFull(benchmark::State& state) {
   const auto g = graph::make_grid2d(static_cast<graph::NodeId>(state.range(0)),
                                     static_cast<graph::NodeId>(state.range(0)));
+  graph::BfsWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::bfs_distances(g, 0));
+    benchmark::DoNotOptimize(ws.distances(g, 0).data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * g.num_nodes());
 }
@@ -62,8 +64,10 @@ BENCHMARK(BM_BfsFull)->Arg(64)->Arg(256);
 void BM_BallCollect(benchmark::State& state) {
   const auto g = graph::make_grid2d(256, 256);
   const auto radius = static_cast<graph::Dist>(state.range(0));
+  graph::BfsWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::ball(g, 256 * 128 + 128, radius));
+    benchmark::DoNotOptimize(ws.ball(g, 256 * 128 + 128, radius).order.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_BallCollect)->Arg(4)->Arg(16)->Arg(64);

@@ -9,13 +9,9 @@ namespace nav::core {
 
 namespace {
 
-/// Fills `dist` with the BFS row from u (one sweep on the calling thread's
-/// workspace) and returns |B(u, 2^k)| for k = 1..levels (index 0 unused).
-std::vector<std::size_t> ball_sizes_row(const Graph& g, NodeId u,
-                                        std::uint32_t levels,
-                                        std::vector<graph::Dist>& dist) {
-  dist.resize(g.num_nodes());
-  graph::local_bfs_workspace().distances_into(g, u, dist);
+/// |B(u, 2^k)| for k = 1..levels (index 0 unused), counted off u's BFS row.
+std::vector<std::size_t> ball_sizes_row(std::span<const graph::Dist> dist,
+                                        std::uint32_t levels) {
   std::vector<std::size_t> sizes(levels + 1, 0);
   for (const auto d : dist) {
     if (d == graph::kInfDist) continue;
@@ -104,14 +100,14 @@ NodeId BallScheme::sample_contact(NodeId u, Rng& rng) const {
 std::string BallScheme::name() const { return "ball"; }
 
 std::vector<std::size_t> BallScheme::ball_sizes(NodeId u) const {
-  std::vector<graph::Dist> dist;
-  return ball_sizes_row(graph_, u, levels_, dist);
+  return ball_sizes_row(graph::local_bfs_workspace().distances(graph_, u),
+                        levels_);
 }
 
 double BallScheme::probability(NodeId u, NodeId v) const {
   NAV_ASSERT(u < graph_.num_nodes() && v < graph_.num_nodes());
-  std::vector<graph::Dist> dist;
-  const auto sizes = ball_sizes_row(graph_, u, levels_, dist);
+  const auto dist = graph::local_bfs_workspace().distances(graph_, u);
+  const auto sizes = ball_sizes_row(dist, levels_);
   if (dist[v] == graph::kInfDist) return 0.0;
   double p = 0.0;
   for (std::uint32_t k = 1; k <= levels_; ++k) {
@@ -126,8 +122,8 @@ std::vector<double> BallScheme::probability_row(NodeId u) const {
   // One BFS serves the whole row: φ_u(v) = (1/L) Σ_{k >= r(v)} 1/|B_k(u)|,
   // precomputed as suffix sums over the level index.
   NAV_ASSERT(u < graph_.num_nodes());
-  std::vector<graph::Dist> dist;
-  const auto sizes = ball_sizes_row(graph_, u, levels_, dist);
+  const auto dist = graph::local_bfs_workspace().distances(graph_, u);
+  const auto sizes = ball_sizes_row(dist, levels_);
   // suffix[k] = Σ_{j=k..L} 1/|B_j(u)|.
   std::vector<double> suffix(levels_ + 2, 0.0);
   for (std::uint32_t k = levels_; k >= 1; --k) {

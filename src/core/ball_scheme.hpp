@@ -33,7 +33,7 @@
 #include <memory>
 
 #include "core/scheme.hpp"
-#include "graph/bfs.hpp"
+#include "graph/graph.hpp"
 
 namespace nav::core {
 

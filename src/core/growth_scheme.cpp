@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "graph/bfs_engine.hpp"
+
 namespace nav::core {
 
 GrowthScheme::GrowthScheme(const Graph& g) : graph_(g) {
@@ -10,7 +12,7 @@ GrowthScheme::GrowthScheme(const Graph& g) : graph_(g) {
 
 std::vector<double> GrowthScheme::weights(NodeId u) const {
   NAV_ASSERT(u < graph_.num_nodes());
-  const auto dist = graph::bfs_distances(graph_, u);
+  const auto dist = graph::local_bfs_workspace().distances(graph_, u);
   graph::Dist max_d = 0;
   for (const auto d : dist) {
     if (d != graph::kInfDist) max_d = std::max(max_d, d);

@@ -15,7 +15,7 @@
 #pragma once
 
 #include "core/scheme.hpp"
-#include "graph/bfs.hpp"
+#include "graph/graph.hpp"
 
 namespace nav::core {
 

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "graph/bfs_engine.hpp"
+
 namespace nav::core {
 
 KleinbergScheme::KleinbergScheme(const Graph& g, double alpha)
@@ -12,7 +14,7 @@ KleinbergScheme::KleinbergScheme(const Graph& g, double alpha)
 
 NodeId KleinbergScheme::sample_contact(NodeId u, Rng& rng) const {
   NAV_ASSERT(u < graph_.num_nodes());
-  const auto dist = graph::bfs_distances(graph_, u);
+  const auto dist = graph::local_bfs_workspace().distances(graph_, u);
   double z = 0.0;
   for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
     if (v == u || dist[v] == graph::kInfDist) continue;
@@ -38,7 +40,7 @@ std::string KleinbergScheme::name() const {
 
 double KleinbergScheme::probability(NodeId u, NodeId v) const {
   if (u == v) return 0.0;
-  const auto dist = graph::bfs_distances(graph_, u);
+  const auto dist = graph::local_bfs_workspace().distances(graph_, u);
   if (dist[v] == graph::kInfDist) return 0.0;
   double z = 0.0;
   for (NodeId w = 0; w < graph_.num_nodes(); ++w) {
@@ -49,7 +51,7 @@ double KleinbergScheme::probability(NodeId u, NodeId v) const {
 }
 
 std::vector<double> KleinbergScheme::probability_row(NodeId u) const {
-  const auto dist = graph::bfs_distances(graph_, u);
+  const auto dist = graph::local_bfs_workspace().distances(graph_, u);
   std::vector<double> row(graph_.num_nodes(), 0.0);
   double z = 0.0;
   for (NodeId w = 0; w < graph_.num_nodes(); ++w) {

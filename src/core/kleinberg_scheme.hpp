@@ -14,7 +14,7 @@
 #include <memory>
 
 #include "core/scheme.hpp"
-#include "graph/bfs.hpp"
+#include "graph/graph.hpp"
 #include "runtime/discrete_distribution.hpp"
 
 namespace nav::core {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "graph/bfs.hpp"
+#include "graph/bfs_engine.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/diameter.hpp"
 
@@ -53,7 +53,7 @@ PathDecomposition bfs_layer_decomposition(const Graph& g, NodeId root) {
   NAV_REQUIRE(graph::is_connected(g), "bfs_layer_decomposition needs connectivity");
   if (root == graph::kNoNode) root = graph::peripheral_pair(g).a;
   NAV_REQUIRE(root < n, "root out of range");
-  const auto dist = graph::bfs_distances(g, root);
+  const auto dist = graph::local_bfs_workspace().distances(g, root);
   graph::Dist depth = 0;
   for (const auto d : dist) depth = std::max(depth, d);
   std::vector<Bag> layers(depth + 1);

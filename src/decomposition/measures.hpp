@@ -14,7 +14,7 @@
 #include <cstdint>
 
 #include "decomposition/decomposition.hpp"
-#include "graph/bfs.hpp"
+#include "graph/graph.hpp"
 
 namespace nav::decomp {
 

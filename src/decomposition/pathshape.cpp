@@ -5,6 +5,7 @@
 #include "decomposition/builders.hpp"
 #include "decomposition/elimination.hpp"
 #include "decomposition/tree_path_decomposition.hpp"
+#include "graph/bfs_engine.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/diameter.hpp"
 
@@ -101,10 +102,7 @@ ShapedDecomposition best_path_decomposition(const Graph& g,
       diam_ub = graph::exact_diameter(g);
     } else {
       // diam <= 2·ecc(v) for any v; one BFS gives ecc(0).
-      const auto dist0 = graph::bfs_distances(g, 0);
-      graph::Dist ecc0 = 0;
-      for (const auto d : dist0) ecc0 = std::max(ecc0, d);
-      diam_ub = 2 * ecc0;
+      diam_ub = 2 * graph::local_bfs_workspace().eccentricity(g, 0);
     }
     DecompositionMeasures m;
     m.num_bags = 1;

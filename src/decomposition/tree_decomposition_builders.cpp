@@ -1,6 +1,6 @@
 #include "decomposition/tree_decomposition_builders.hpp"
 
-#include "graph/bfs.hpp"
+#include "graph/bfs_engine.hpp"
 #include "graph/connectivity.hpp"
 
 namespace nav::decomp {
@@ -18,21 +18,19 @@ TreeDecomposition tree_edge_decomposition(const Graph& g) {
   std::vector<NodeId> parent(n, graph::kNoNode);
   std::vector<NodeId> order;  // non-root nodes in discovery order
   std::vector<std::size_t> bag_of(n, 0);
-  {
-    std::vector<std::uint8_t> seen(n, 0);
-    std::vector<NodeId> queue{0};
-    seen[0] = 1;
-    std::size_t head = 0;
-    while (head < queue.size()) {
-      const NodeId u = queue[head++];
-      for (const NodeId v : g.neighbors(u)) {
-        if (!seen[v]) {
-          seen[v] = 1;
-          parent[v] = u;
-          bag_of[v] = order.size();
-          order.push_back(v);
-          queue.push_back(v);
-        }
+  auto& ws = graph::local_bfs_workspace();
+  ws.prepare(n);
+  auto& queue = ws.queue();
+  ws.try_visit(0);
+  queue.push_back(0);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    for (const NodeId v : g.neighbors(u)) {
+      if (ws.try_visit(v)) {
+        parent[v] = u;
+        bag_of[v] = order.size();
+        order.push_back(v);
+        queue.push_back(v);
       }
     }
   }

@@ -338,30 +338,13 @@ Dist BfsWorkspace::diropt_into(const Graph& g, NodeId source,
   return kInfDist;
 }
 
-void BfsWorkspace::multi_source_into(const Graph& g,
-                                     std::span<const NodeId> sources,
-                                     std::span<Dist> out) {
-  NAV_REQUIRE(!sources.empty(), "multi_source_bfs needs at least one source");
-  NAV_REQUIRE(out.size() == g.num_nodes(), "distance output size mismatch");
-  std::fill(out.begin(), out.end(), kInfDist);
-  queue_.clear();
-  for (const NodeId s : sources) {
-    NAV_REQUIRE(s < g.num_nodes(), "BFS source out of range");
-    if (out[s] == kInfDist) {
-      out[s] = 0;
-      queue_.push_back(s);
-    }
-  }
-  std::size_t head = 0;
-  while (head < queue_.size()) {
-    const NodeId u = queue_[head++];
-    for (const NodeId v : g.neighbors(u)) {
-      if (out[v] == kInfDist) {
-        out[v] = out[u] + 1;
-        queue_.push_back(v);
-      }
-    }
-  }
+std::span<const Dist> BfsWorkspace::distances(const Graph& g, NodeId source,
+                                              Dist radius) {
+  const std::size_t n = g.num_nodes();
+  if (row_.size() < n) row_.resize(n);
+  const std::span<Dist> row{row_.data(), n};
+  distances_into(g, source, row, radius);
+  return row;
 }
 
 BfsWorkspace::BallView BfsWorkspace::ball(const Graph& g, NodeId center,
@@ -746,10 +729,6 @@ Dist ParallelBfs::distances_into(const Graph& g, NodeId source,
   if (levels_parallel > 0) bfs_metrics().parallel_levels.inc(levels_parallel);
   if (levels_inline > 0) bfs_metrics().inline_levels.inc(levels_inline);
   return frontier_count_ > 0 ? limit : kInfDist;
-}
-
-ParallelBfs& shared_parallel_bfs() {
-  return nav::thread_scratch<ParallelBfs>();
 }
 
 }  // namespace nav::graph

@@ -1,28 +1,30 @@
-// bfs_engine.hpp — the reusable, allocation-free BFS engine.
+// bfs_engine.hpp — the library's one BFS surface.
 //
 // Every subsystem bottoms out in unweighted BFS: the distance oracle runs
 // one sweep per distinct target, the Theorem 4 ball scheme samples from
-// B(u, 2^k) millions of times, diameter/pathshape sweep all sources, and
-// lookahead routers multiply distance queries per hop. The free functions in
-// bfs.hpp used to heap-allocate and zero-fill O(n) state per call; they are
-// now thin wrappers over this engine, and the hot paths (oracle, schemes,
-// workloads, decomposition measures) call it directly.
+// B(u, 2^k) millions of times, the rank and Kleinberg schemes read the BFS
+// order or row out of u, diameter/pathshape sweep all sources, and
+// lookahead routers multiply distance queries per hop. All of them run on a
+// BfsWorkspace; the only other engine is ParallelBfs, the narrow-wave sweep
+// of TargetDistanceCache (below).
 //
 // Design:
 //
 //   * BfsWorkspace owns grow-only scratch (a queue, epoch-stamped visited /
-//     marker arrays, frontier bitmaps). prepare() opens a fresh traversal in
-//     O(1) by bumping a 16-bit generation counter — a node is visited iff
-//     its stamp equals the current epoch, so nothing is cleared between
-//     traversals. On epoch wraparound (every 65535 prepares) the stamp
-//     arrays are re-zeroed once, keeping the reset amortised O(1) and the
-//     stale-stamp collision impossible (tested by a >2^16-iteration stress).
+//     marker arrays, frontier bitmaps, one distance row). prepare() opens a
+//     fresh traversal in O(1) by bumping a 16-bit generation counter — a
+//     node is visited iff its stamp equals the current epoch, so nothing is
+//     cleared between traversals. On epoch wraparound (every 65535
+//     prepares) the stamp arrays are re-zeroed once, keeping the reset
+//     amortised O(1) and the stale-stamp collision impossible (tested by a
+//     >2^16-iteration stress).
 //
-//   * Dense kernels (distances_into / multi_source_into) write straight into
-//     a caller-provided span — e.g. an arena slot of the distance oracle —
-//     using the output itself as the visited set. A warm workspace performs
-//     ZERO heap allocations per sweep (proven by the counting-allocator
-//     test).
+//   * Dense kernels write a full distance row. distances_into writes
+//     straight into a caller-provided span — e.g. an arena slot of the
+//     distance oracle — using the output itself as the visited set;
+//     distances() writes the workspace's own row, for callers that read a
+//     row once. A warm workspace performs ZERO heap allocations per sweep
+//     (proven by the counting-allocator test).
 //
 //   * distances_into with radius == kInfDist runs the direction-optimizing
 //     kernel (Beamer et al., "Direction-Optimizing Breadth-First Search"):
@@ -62,11 +64,17 @@
 #include <span>
 #include <vector>
 
-#include "graph/bfs.hpp"
 #include "graph/graph.hpp"
 #include "runtime/worker_team.hpp"
 
 namespace nav::graph {
+
+/// Farthest node from a source (smallest id among ties) and its distance.
+/// Building block of the double-sweep diameter heuristic.
+struct FarthestResult {
+  NodeId node = kNoNode;
+  Dist distance = 0;
+};
 
 class BfsWorkspace {
  public:
@@ -161,9 +169,12 @@ class BfsWorkspace {
       const Graph& g, NodeId source, std::span<Dist> out,
       Dist radius = kInfDist, std::span<const NodeId> stop = {});
 
-  /// Multi-source distances (distance to the nearest source) into out.
-  void multi_source_into(const Graph& g, std::span<const NodeId> sources,
-                         std::span<Dist> out);
+  /// distances_into on the workspace's own grow-only row, for callers that
+  /// read a row once: the span covers g's n nodes and stays valid until the
+  /// next kernel call or prepare on this instance (the BallView::order
+  /// contract). Zero allocations once warm.
+  [[nodiscard]] std::span<const Dist> distances(const Graph& g, NodeId source,
+                                                Dist radius = kInfDist);
 
   // ---- sparse kernels (cost O(|ball|), no O(n) output) -------------------
   /// The ball B(center, radius) in BFS (distance, id) order.
@@ -178,7 +189,10 @@ class BfsWorkspace {
     /// center); 0 when whole_graph is false.
     Dist exhausted_depth = 0;
   };
-  [[nodiscard]] BallView ball(const Graph& g, NodeId center, Dist radius);
+  /// 64-byte aligned, like nth_in_order: the ball scheme's draws run these
+  /// two loops, so pin their code layout against edits elsewhere.
+  [[nodiscard]] __attribute__((aligned(64))) BallView ball(
+      const Graph& g, NodeId center, Dist radius);
 
   /// The index-th node BFS from center discovers (center is index 0) — the
   /// same order ball() reports, which does not depend on the radius, so
@@ -186,8 +200,8 @@ class BfsWorkspace {
   /// holds more than i nodes. Expansion stops as soon as that node is
   /// discovered: cost O(prefix), not O(|ball|). Requires index < the number
   /// of nodes reachable from center.
-  [[nodiscard]] NodeId nth_in_order(const Graph& g, NodeId center,
-                                    std::size_t index);
+  [[nodiscard]] __attribute__((aligned(64))) NodeId nth_in_order(
+      const Graph& g, NodeId center, std::size_t index);
 
   /// max { dist(source, v) : v reachable } without materialising distances.
   [[nodiscard]] Dist eccentricity(const Graph& g, NodeId source);
@@ -213,6 +227,7 @@ class BfsWorkspace {
   // Direction-optimizing scratch: current/next frontier and visited bitmaps,
   // filled only once a sweep flips bottom-up.
   std::vector<std::uint64_t> front_bits_, next_bits_, visited_bits_;
+  std::vector<Dist> row_;  // the distances() row
 };
 
 /// The calling thread's pooled workspace (one per worker thread, via
@@ -224,11 +239,12 @@ class BfsWorkspace {
 // ---- multi-worker sweeps -------------------------------------------------
 
 /// How much of the machine a parallel consumer may use. The one knob the
-/// parallel sweep, the DistanceMatrix build, and the oracle prefetch waves
-/// all hang off: num_workers == 0 means hardware concurrency, 1 forces the
-/// scalar/serial path (the differential reference schedule). The remaining
-/// fields are adaptivity thresholds with production defaults; tests lower
-/// them to force every parallel code path onto small graphs.
+/// parallel sweep, the DistanceMatrix and LandmarkOracle builds, and the
+/// oracle prefetch waves all hang off: num_workers == 0 means hardware
+/// concurrency, 1 forces the scalar/serial path (the differential reference
+/// schedule). The remaining fields are adaptivity thresholds with
+/// production defaults; tests lower them to force every parallel code path
+/// onto small graphs.
 struct ParallelPolicy {
   /// Worker lanes (0 = one per hardware thread; 1 = serial).
   std::size_t num_workers = 0;
@@ -250,7 +266,9 @@ struct ParallelPolicy {
   }
 };
 
-/// Multi-worker direction-optimizing BFS over a private WorkerTeam.
+/// Multi-worker direction-optimizing BFS over a private WorkerTeam: the
+/// narrow-wave engine of TargetDistanceCache, which runs each miss of a wave
+/// with fewer misses than workers as one such sweep.
 ///
 /// One sweep fans its levels across policy.num_workers lanes: top-down
 /// levels are frontier-chunked (lanes claim fixed-size chunks off a shared
@@ -321,11 +339,5 @@ class ParallelBfs {
   std::vector<std::size_t> lane_offsets_;  // frontier-fill write positions
   std::atomic<std::size_t> chunk_next_{0};
 };
-
-/// Checkout pool of shared ParallelBfs instances at the default (hardware)
-/// policy — for consumers that need an occasional parallel sweep without
-/// owning a worker team (oracle prefetch waves). Steady-state checkouts
-/// allocate nothing; instances keep their teams and scratch warm.
-[[nodiscard]] ParallelBfs& shared_parallel_bfs();
 
 }  // namespace nav::graph

@@ -7,7 +7,6 @@
 
 #include <vector>
 
-#include "graph/bfs.hpp"
 #include "graph/graph.hpp"
 
 namespace nav::graph {

@@ -18,7 +18,7 @@
 #include <span>
 #include <string>
 
-#include "graph/bfs.hpp"
+#include "graph/graph.hpp"
 #include "runtime/assert.hpp"
 
 namespace nav::graph {

@@ -39,19 +39,6 @@ OracleMetrics& oracle_metrics() {
   return metrics;
 }
 
-// Per-thread Dist-typed staging row for narrow-width matrix rows: the BFS
-// kernel writes full Dist rows, which are then packed to the storage width.
-// Grow only, so warm fills allocate nothing.
-struct WideRowScratch {
-  std::vector<Dist> row;
-};
-
-std::span<Dist> wide_row_scratch(std::size_t n) {
-  auto& scratch = nav::thread_scratch<WideRowScratch>();
-  if (scratch.row.size() < n) scratch.row.resize(n);
-  return {scratch.row.data(), n};
-}
-
 /// Packs a BFS-filled staging row into its packed row. u32 rows are BFS'd
 /// in place, so there is nothing to pack. True when the row saturated.
 bool pack_staged(std::span<const Dist> staged, DistWidth width,
@@ -138,15 +125,14 @@ void DistanceMatrix::fill_row(const Graph& g, NodeId target) {
   const std::size_t n = n_;
   std::uint8_t* const packed = row(target);
   // Each worker reuses its pooled workspace; rows are disjoint slab slices.
-  // u32 rows are BFS-filled in place, narrow rows stage in the thread's Dist
-  // row and pack. Saturation is flagged, not thrown — workers must not throw
-  // across the parallel_for; the coordinator turns the flag into an error.
-  const std::span<Dist> staged =
-      width_ == DistWidth::kU32
-          ? std::span<Dist>{reinterpret_cast<Dist*>(packed), n}
-          : wide_row_scratch(n);
-  local_bfs_workspace().distances_into(g, target, staged);
-  if (pack_staged(staged, width_, packed)) {
+  // u32 rows are BFS-filled in place, narrow rows are packed from the
+  // workspace row. Saturation is flagged, not thrown — workers must not
+  // throw across the parallel_for; the coordinator turns the flag into an
+  // error.
+  auto& ws = local_bfs_workspace();
+  if (width_ == DistWidth::kU32) {
+    ws.distances_into(g, target, {reinterpret_cast<Dist*>(packed), n});
+  } else if (narrow_row(ws.distances(g, target), width_, packed)) {
     saturated_.store(true, std::memory_order_relaxed);
   }
 }

@@ -36,7 +36,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "graph/bfs.hpp"
 #include "graph/bfs_engine.hpp"
 #include "graph/dist_slab.hpp"
 #include "graph/graph.hpp"

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <utility>
@@ -25,6 +26,11 @@ using EdgeId = std::uint64_t;
 
 /// Sentinel for "no node".
 inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
+
+/// Unweighted shortest-path distance; unreachable (or not yet labelled)
+/// nodes read kInfDist.
+using Dist = std::uint32_t;
+inline constexpr Dist kInfDist = std::numeric_limits<Dist>::max();
 
 class Graph {
  public:

@@ -4,18 +4,11 @@
 #include <numeric>
 
 #include "runtime/assert.hpp"
-#include "runtime/scratch_pool.hpp"
+#include "runtime/worker_team.hpp"
 
 namespace nav::graph {
 
 namespace {
-
-// Per-thread Dist scratch for the exact-ball patch BFS: the bounded kernel
-// writes the FULL span (unreached nodes get kInfDist), so it must not run
-// directly on the row being materialised.
-struct PatchScratch {
-  std::vector<Dist> row;
-};
 
 NodeId max_degree_node(const Graph& g) {
   NodeId best = 0;
@@ -55,13 +48,18 @@ LandmarkOracle::LandmarkOracle(const Graph& g, LandmarkOptions options)
   const std::size_t n = g.num_nodes();
   const std::size_t k = std::min(options_.k, n);
   rows_ = std::shared_ptr<Dist[]>(new Dist[k * n]);
-  ParallelBfs engine(options_.policy);
 
   if (options_.selection == LandmarkSelection::kDegree) {
+    // Independent rows: farm them over the process team, one scalar sweep
+    // per lane's workspace, capped at the policy's worker count.
     landmarks_ = select_by_degree(g, k);
-    for (std::size_t i = 0; i < k; ++i) {
-      engine.distances_into(g, landmarks_[i], {rows_.get() + i * n, n});
-    }
+    nav::parallel_for(
+        0, k,
+        [&](std::size_t i) {
+          local_bfs_workspace().distances_into(g, landmarks_[i],
+                                               {rows_.get() + i * n, n});
+        },
+        options_.policy.resolved_workers());
     return;
   }
 
@@ -69,10 +67,13 @@ LandmarkOracle::LandmarkOracle(const Graph& g, LandmarkOptions options)
   // take the node farthest from the set so far (each new landmark's sweep is
   // also its stored row, so selection costs nothing extra). kInfDist in
   // min_dist means "no landmark reaches this node yet" — unreached
-  // components win the argmax and get their own landmark first.
+  // components win the argmax and get their own landmark first. Each
+  // landmark depends on the rows before it, so the sweeps run in order on
+  // the caller's workspace.
+  auto& ws = local_bfs_workspace();
   landmarks_.reserve(k);
   landmarks_.push_back(max_degree_node(g));
-  engine.distances_into(g, landmarks_[0], {rows_.get(), n});
+  ws.distances_into(g, landmarks_[0], {rows_.get(), n});
   std::vector<Dist> min_dist(rows_.get(), rows_.get() + n);
   for (std::size_t i = 1; i < k; ++i) {
     NodeId next = 0;
@@ -89,7 +90,7 @@ LandmarkOracle::LandmarkOracle(const Graph& g, LandmarkOptions options)
     }
     landmarks_.push_back(next);
     Dist* const row = rows_.get() + i * n;
-    engine.distances_into(g, next, {row, n});
+    ws.distances_into(g, next, {row, n});
     for (NodeId u = 0; u < n; ++u) {
       min_dist[u] = std::min(min_dist[u], row[u]);
     }
@@ -114,11 +115,8 @@ void LandmarkOracle::materialize_row(NodeId target,
   // Exact-ball patch: overlay the true distances within exact_radius of the
   // target. The estimate is an upper bound, so a min-merge IS replacement
   // inside the ball — and it anchors row[target] = 0 even at radius 0.
-  auto& scratch = nav::thread_scratch<PatchScratch>();
-  if (scratch.row.size() < n) scratch.row.resize(n);
-  const std::span<Dist> patch{scratch.row.data(), n};
-  local_bfs_workspace().distances_into(graph_, target, patch,
-                                       options_.exact_radius);
+  const auto patch = local_bfs_workspace().distances(graph_, target,
+                                                     options_.exact_radius);
   for (std::size_t u = 0; u < n; ++u) {
     if (patch[u] != kInfDist) row[u] = std::min(row[u], patch[u]);
   }

@@ -58,7 +58,8 @@ struct LandmarkOptions {
   Dist exact_radius = 2;
   /// LRU capacity for materialised target rows.
   std::size_t row_cache_slots = 64;
-  /// Worker cap for the k construction sweeps.
+  /// Worker cap for the k construction sweeps (kDegree farms them over the
+  /// process team; kFarthest runs them in order, each depending on the last).
   ParallelPolicy policy;
 };
 

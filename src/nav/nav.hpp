@@ -77,7 +77,6 @@
 // graph — CSR graphs, generators, the family registry, real-graph
 // ingestion, distances (exact and landmark-approximate), and the
 // make_oracle backend registry.
-#include "graph/bfs.hpp"
 #include "graph/bfs_engine.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/diameter.hpp"

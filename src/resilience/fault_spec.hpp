@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/bfs.hpp"
 #include "graph/graph.hpp"
 
 namespace nav::resilience {

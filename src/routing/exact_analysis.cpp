@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "graph/bfs_engine.hpp"
 #include "runtime/worker_team.hpp"
 
 namespace nav::routing {
@@ -14,7 +15,10 @@ std::vector<double> exact_expected_steps(const graph::Graph& g,
                                          const core::AugmentationScheme* scheme,
                                          NodeId target) {
   NAV_REQUIRE(target < g.num_nodes(), "target out of range");
-  const auto dist = graph::bfs_distances(g, target);
+  // A copy: every probability_row() below runs its own BFS on this
+  // thread's workspace, which would overwrite the workspace row.
+  const auto row = graph::local_bfs_workspace().distances(g, target);
+  const std::vector<Dist> dist(row.begin(), row.end());
   for (const auto d : dist) {
     NAV_REQUIRE(d != graph::kInfDist, "exact analysis requires connectivity");
   }

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "core/scheme.hpp"
-#include "graph/bfs.hpp"
+#include "graph/graph.hpp"
 
 namespace nav::routing {
 

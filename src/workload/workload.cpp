@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "api/result_sink.hpp"
-#include "graph/bfs.hpp"
 #include "graph/bfs_engine.hpp"
 #include "graph/diameter.hpp"
 #include "runtime/assert.hpp"
@@ -132,8 +131,11 @@ class AdversarialWorkload final : public Workload {
     const auto peripheral = graph::peripheral_pair(g);
     a_ = peripheral.a;
     b_ = peripheral.b;
-    dist_a_ = graph::bfs_distances(g, a_);
-    dist_b_ = graph::bfs_distances(g, b_);
+    dist_a_.resize(n_);
+    dist_b_.resize(n_);
+    auto& ws = graph::local_bfs_workspace();
+    ws.distances_into(g, a_, dist_a_);
+    ws.distances_into(g, b_, dist_b_);
   }
 
   [[nodiscard]] std::string name() const override { return "adversarial"; }

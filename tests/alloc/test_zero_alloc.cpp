@@ -14,6 +14,8 @@
 
 #include "api/route_service.hpp"
 #include "core/ball_scheme.hpp"
+#include "core/kleinberg_scheme.hpp"
+#include "core/rank_scheme.hpp"
 #include "core/uniform_scheme.hpp"
 #include "graph/bfs_engine.hpp"
 #include "graph/distance_oracle.hpp"
@@ -189,6 +191,32 @@ TEST(ZeroAlloc, WarmBallSchemeDrawsAllocateNothing) {
   EXPECT_GT(prefilled, 0u);
   EXPECT_GT(recorded, 0u);
   EXPECT_GT(cold, 0u);
+  EXPECT_GT(sum, 0u);  // keep the loop observable
+}
+
+TEST(ZeroAlloc, WarmKleinbergAndRankDrawsAllocateNothing) {
+  // Both schemes draw off one BFS out of u per contact: Kleinberg's reads
+  // the workspace's distance row, the rank scheme the BFS order in the
+  // workspace queue. Once the calling thread's workspace has grown to n,
+  // neither draw allocates an n-row or copies the order.
+  const auto g = make_grid2d(24, 24);
+  const NodeId n = g.num_nodes();
+  const core::KleinbergScheme kleinberg(g, 2.0);
+  const core::RankScheme rank(g);
+  Rng warm(1);
+  (void)kleinberg.sample_contact(0, warm);
+  (void)rank.sample_contact(0, warm);
+
+  Rng rng(2);
+  NodeId sum = 0;
+  const std::uint64_t before = nav::allocation_count();
+  for (NodeId u = 0; u < n; u += 7) {
+    sum += kleinberg.sample_contact(u, rng);
+    sum += rank.sample_contact(u, rng);
+  }
+  const std::uint64_t after = nav::allocation_count();
+  EXPECT_EQ(after - before, 0u)
+      << "a warm Kleinberg or rank draw must perform zero heap allocations";
   EXPECT_GT(sum, 0u);  // keep the loop observable
 }
 

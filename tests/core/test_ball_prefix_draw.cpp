@@ -235,7 +235,7 @@ TEST(BallPrefixDraw, ProbabilityRowConsistentWithCachedSizes) {
     }
     if (!complete) continue;
     ++checked;
-    const auto dist = graph::bfs_distances(g, u);
+    const auto dist = graph::bfs_distances_reference(g, u);
     const auto row = scheme.probability_row(u);
     double total = 0.0;
     for (NodeId v = 0; v < n; ++v) {

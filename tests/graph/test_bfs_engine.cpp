@@ -1,6 +1,7 @@
-// Differential coverage for the BFS engine: every workspace kernel is pinned
-// bit-identical to the pre-engine reference implementations across graph
-// families and radii, and the 16-bit epoch machinery survives wraparound.
+// Coverage for the BFS engine: the basic distance and ball contracts on
+// small hand-checked graphs, every workspace kernel pinned bit-identical to
+// the pre-engine reference implementations across graph families and radii,
+// and the 16-bit epoch machinery surviving wraparound.
 #include "graph/bfs_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -53,6 +54,105 @@ std::vector<NodeId> sample_sources(const Graph& g) {
   std::vector<NodeId> sources{0, n - 1, n / 2, n / 3};
   sources.resize(std::min<std::size_t>(sources.size(), n));
   return sources;
+}
+
+// ---- basic contracts -------------------------------------------------------
+
+TEST(Bfs, PathDistances) {
+  const auto g = make_path(5);
+  BfsWorkspace ws;
+  const auto d = ws.distances(g, 0);
+  ASSERT_EQ(d.size(), 5u);
+  for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(d[v], v);
+}
+
+TEST(Bfs, UnreachableIsInf) {
+  Graph g(3, {{0, 1}});
+  BfsWorkspace ws;
+  EXPECT_EQ(ws.distances(g, 0)[2], kInfDist);
+}
+
+TEST(Bfs, BoundedStopsAtRadius) {
+  const auto g = make_path(10);
+  BfsWorkspace ws;
+  const auto d = ws.distances(g, 0, 3);
+  EXPECT_EQ(d[3], 3u);
+  EXPECT_EQ(d[4], kInfDist);
+}
+
+TEST(Bfs, BoundedZeroRadiusOnlySource) {
+  const auto g = make_path(4);
+  BfsWorkspace ws;
+  const auto d = ws.distances(g, 2, 0);
+  EXPECT_EQ(d[2], 0u);
+  EXPECT_EQ(d[1], kInfDist);
+  EXPECT_EQ(d[3], kInfDist);
+}
+
+TEST(Bfs, RejectsBadSource) {
+  const auto g = make_path(3);
+  BfsWorkspace ws;
+  EXPECT_THROW((void)ws.distances(g, 5), std::invalid_argument);
+  EXPECT_THROW((void)ws.ball(g, 5, 1), std::invalid_argument);
+}
+
+TEST(Ball, SizesOnPath) {
+  const auto g = make_path(100);
+  BfsWorkspace ws;
+  EXPECT_EQ(ws.ball(g, 50, 0).order.size(), 1u);
+  EXPECT_EQ(ws.ball(g, 50, 3).order.size(), 7u);  // 3 left + center + 3 right
+  EXPECT_EQ(ws.ball(g, 0, 5).order.size(), 6u);   // one-sided at the endpoint
+  EXPECT_EQ(ws.ball(g, 50, 200).order.size(), 100u);  // whole graph
+}
+
+TEST(Ball, FirstElementIsCenterAndOrderIsByDistance) {
+  const auto g = make_grid2d(5, 5);
+  const auto dist = bfs_distances_reference(g, 12);
+  BfsWorkspace ws;
+  const auto b = ws.ball(g, 12, 2).order;
+  EXPECT_EQ(b.front(), 12u);
+  for (std::size_t i = 0; i + 1 < b.size(); ++i) {
+    EXPECT_LE(dist[b[i]], dist[b[i + 1]]);
+  }
+}
+
+TEST(Ball, GridBallCountsMatchManhattan) {
+  // Interior node of a big grid: |B(u, r)| = 2r^2 + 2r + 1.
+  const auto g = make_grid2d(21, 21);
+  const NodeId center = 10 * 21 + 10;
+  BfsWorkspace ws;
+  for (Dist r = 0; r <= 4; ++r) {
+    EXPECT_EQ(ws.ball(g, center, r).order.size(), 2u * r * r + 2u * r + 1u)
+        << "r=" << r;
+  }
+}
+
+TEST(FarthestNode, PathEndpoint) {
+  const auto g = make_path(8);
+  BfsWorkspace ws;
+  const auto far = ws.farthest(g, 3);
+  EXPECT_EQ(far.node, 7u);
+  EXPECT_EQ(far.distance, 4u);
+}
+
+// ---- differential coverage -------------------------------------------------
+
+TEST(BfsEngine, DistancesRowMatchesReferenceAcrossGraphs) {
+  // One workspace row serves graphs of every size back to back: the span
+  // always covers exactly the current graph, whatever a larger graph left
+  // behind in the grow-only row.
+  BfsWorkspace ws;
+  for (const auto& [name, g] : differential_graphs()) {
+    for (const NodeId s : sample_sources(g)) {
+      for (const Dist radius : {Dist{0}, Dist{3}, kInfDist}) {
+        const auto expect = bfs_distances_reference(g, s, radius);
+        const auto row = ws.distances(g, s, radius);
+        ASSERT_EQ(row.size(), g.num_nodes()) << name;
+        EXPECT_TRUE(std::equal(row.begin(), row.end(), expect.begin()))
+            << name << " source=" << s << " r=" << radius;
+      }
+    }
+  }
 }
 
 TEST(BfsEngine, ScalarKernelMatchesReferenceAllRadii) {
@@ -231,17 +331,6 @@ TEST(BfsEngine, BallWholeGraphDetection) {
   EXPECT_EQ(mid.order.size(), 10u);
 }
 
-TEST(BfsEngine, MultiSourceMatchesWrapper) {
-  BfsWorkspace ws;
-  for (const auto& [name, g] : differential_graphs()) {
-    const std::vector<NodeId> sources{0, g.num_nodes() - 1, 0};
-    const auto expect = multi_source_bfs(g, sources);
-    std::vector<Dist> out(g.num_nodes());
-    ws.multi_source_into(g, sources, out);
-    EXPECT_EQ(out, expect) << name;
-  }
-}
-
 TEST(BfsEngine, EccentricityAndFarthestMatchReference) {
   BfsWorkspace ws;
   for (const auto& [name, g] : differential_graphs()) {
@@ -311,7 +400,7 @@ TEST(BfsEngine, KernelsValidateArguments) {
   EXPECT_THROW(ws.distances_into(g, 0, wrong), std::invalid_argument);
   EXPECT_THROW(ws.ball(g, 4, 1), std::invalid_argument);
   EXPECT_THROW(ws.eccentricity(g, 7), std::invalid_argument);
-  EXPECT_THROW(ws.multi_source_into(g, {}, out), std::invalid_argument);
+  EXPECT_THROW(ws.farthest(g, 4), std::invalid_argument);
 }
 
 TEST(BfsEngine, SparseDenseCutoverIsExplicit) {

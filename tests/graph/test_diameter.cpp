@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "support/bfs_reference.hpp"
 
 namespace nav::graph {
 namespace {
@@ -56,7 +57,7 @@ TEST(PeripheralPair, EndpointsOfPath) {
 TEST(PeripheralPair, DistanceMatchesBfs) {
   const auto g = make_grid2d(6, 6);
   const auto p = peripheral_pair(g);
-  EXPECT_EQ(bfs_distances(g, p.a)[p.b], p.distance);
+  EXPECT_EQ(bfs_distances_reference(g, p.a)[p.b], p.distance);
 }
 
 }  // namespace

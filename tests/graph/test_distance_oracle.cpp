@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "support/bfs_reference.hpp"
 
 namespace nav::graph {
 namespace {
@@ -14,7 +15,7 @@ TEST(DistanceMatrix, MatchesBfs) {
   const auto g = make_grid2d(5, 5);
   DistanceMatrix dm(g);
   for (NodeId t = 0; t < g.num_nodes(); t += 7) {
-    const auto d = bfs_distances(g, t);
+    const auto d = bfs_distances_reference(g, t);
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
       EXPECT_EQ(dm.distance(u, t), d[u]);
     }
@@ -38,7 +39,7 @@ TEST(DistanceMatrix, SharedVectorMatchesScalar) {
 TEST(TargetCache, MatchesBfs) {
   const auto g = make_grid2d(6, 4);
   TargetDistanceCache cache(g, 4);
-  const auto d = bfs_distances(g, 13);
+  const auto d = bfs_distances_reference(g, 13);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_EQ(cache.distance(u, 13), d[u]);
   }
@@ -79,7 +80,7 @@ TEST(TargetCache, PrefetchPinsBatchAndMatchesBfs) {
   const auto pinned = cache.prefetch(targets);
   ASSERT_EQ(pinned.size(), targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    const auto expect = bfs_distances(g, targets[i]);
+    const auto expect = bfs_distances_reference(g, targets[i]);
     ASSERT_NE(pinned[i], nullptr);
     EXPECT_EQ(*pinned[i], expect) << "target " << targets[i];
   }
@@ -126,7 +127,7 @@ TEST(TargetCache, ConcurrentAccessConsistent) {
   const auto g = make_grid2d(10, 10);
   std::vector<std::vector<Dist>> reference;
   for (NodeId target = 0; target < 21; ++target) {
-    reference.push_back(bfs_distances(g, target));
+    reference.push_back(bfs_distances_reference(g, target));
   }
   for (const auto width :
        {DistWidth::kU8, DistWidth::kU16, DistWidth::kU32}) {

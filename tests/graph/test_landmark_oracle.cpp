@@ -10,6 +10,7 @@
 
 #include "core/uniform_scheme.hpp"
 #include "graph/distance_oracle.hpp"
+#include "graph/families.hpp"
 #include "graph/generators.hpp"
 #include "routing/greedy_router.hpp"
 #include "routing/lookahead_router.hpp"
@@ -133,6 +134,35 @@ TEST(LandmarkOracle, MoreLandmarksNeverWorsenTheBound) {
   // same traversal), so the k=16 min includes every k=2 term.
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     ASSERT_LE((*tight)[u], (*loose)[u]) << "u=" << u;
+  }
+}
+
+TEST(LandmarkOracle, BuildsMatchAcrossWorkerCounts) {
+  // kDegree farms its landmark rows over the process team and kFarthest
+  // sweeps them in order; either way the landmarks and every materialised
+  // row must not depend on the worker cap.
+  ParallelPolicy four;
+  four.num_workers = 4;
+  for (const FamilySpec& spec : all_families()) {
+    Rng rng(0x1A4D);
+    const Graph g = spec.make(300, rng);
+    for (const auto selection :
+         {LandmarkSelection::kDegree, LandmarkSelection::kFarthest}) {
+      LandmarkOptions serial_options = with_k(12, selection);
+      serial_options.policy = ParallelPolicy::serial();
+      LandmarkOptions wide_options = with_k(12, selection);
+      wide_options.policy = four;
+      const LandmarkOracle serial(g, serial_options);
+      const LandmarkOracle wide(g, wide_options);
+      const auto a = serial.landmarks();
+      const auto b = wide.landmarks();
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << spec.name;
+      for (NodeId t = 0; t < g.num_nodes(); ++t) {
+        ASSERT_TRUE(*serial.distances_to(t) == *wide.distances_to(t))
+            << spec.name << " t=" << t;
+      }
+    }
   }
 }
 

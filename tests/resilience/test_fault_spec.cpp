@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/bfs.hpp"
+#include "graph/graph.hpp"
 
 namespace nav::resilience {
 namespace {

@@ -9,6 +9,7 @@
 #include "core/uniform_scheme.hpp"
 #include "graph/generators.hpp"
 #include "routing/trial_runner.hpp"
+#include "support/bfs_reference.hpp"
 
 namespace nav::routing {
 namespace {
@@ -16,7 +17,7 @@ namespace {
 TEST(ExactAnalysis, NoSchemeEqualsDistance) {
   const auto g = graph::make_grid2d(5, 5);
   const auto expected = exact_expected_steps(g, nullptr, 12);
-  const auto dist = graph::bfs_distances(g, 12);
+  const auto dist = graph::bfs_distances_reference(g, 12);
   for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_DOUBLE_EQ(expected[u], static_cast<double>(dist[u]));
   }
@@ -32,7 +33,7 @@ TEST(ExactAnalysis, ExpectationBoundedByDistance) {
   const auto g = graph::make_path(64);
   core::UniformScheme scheme(g);
   const auto expected = exact_expected_steps(g, &scheme, 63);
-  const auto dist = graph::bfs_distances(g, 63);
+  const auto dist = graph::bfs_distances_reference(g, 63);
   for (graph::NodeId u = 0; u < 64; ++u) {
     EXPECT_LE(expected[u], static_cast<double>(dist[u]) + 1e-9);
     EXPECT_GE(expected[u], 0.0);

@@ -10,10 +10,10 @@
 #include <set>
 #include <unordered_map>
 
-#include "graph/bfs.hpp"
 #include "graph/families.hpp"
 #include "graph/generators.hpp"
 #include "routing/trial_runner.hpp"
+#include "support/bfs_reference.hpp"
 
 namespace nav::workload {
 namespace {
@@ -84,7 +84,7 @@ TEST(Workload, LocalPairsStayWithinRadius) {
   const auto local = make_workload("local:3", g, Rng(0));
   Rng rng(5);
   for (const auto& [s, t] : local->batch(60, rng)) {
-    const auto dist = graph::bfs_distances_bounded(g, s, 3);
+    const auto dist = graph::bfs_distances_reference(g, s, 3);
     ASSERT_NE(dist[t], graph::kInfDist);
     EXPECT_LE(dist[t], 3u);
     EXPECT_GE(dist[t], 1u);
