@@ -52,9 +52,16 @@ int main(int argc, char** argv) {
       core::MatrixScheme scheme(matrix, inst.labeling);
 
       graph::TargetDistanceCache oracle(inst.path, 4);
-      const auto est = routing::estimate_pair(
-          inst.path, &scheme, oracle, inst.source, inst.target, 32,
-          Rng(h.seed(0x5eed) ^ e));
+      const routing::GreedyRouter router(inst.path, oracle);
+      const Rng trial_rng(h.seed(0x5eed) ^ e);
+      std::vector<api::RouteJob> jobs;
+      for (std::size_t r = 0; r < 32; ++r)
+        jobs.push_back({inst.source, inst.target, trial_rng.child(r)});
+      const auto replicates =
+          api::RouteService(inst.path, oracle, &scheme, router)
+              .route_jobs(std::move(jobs));
+      const auto est =
+          routing::summarize_pair(inst.source, inst.target, replicates);
       const double segment =
           static_cast<double>(inst.segment_end - inst.segment_begin);
       const double floor = segment / 3.0 * (1.0 - inst.internal_mass);

@@ -41,13 +41,14 @@ void run_certified_atfree(bench::Harness& h, const std::string& which,
     core::UniformScheme uniform(g);
 
     graph::TargetDistanceCache oracle(g, 16);
+    const routing::GreedyRouter router(g, oracle);
     routing::TrialConfig trials;
     trials.num_pairs = 10;
     trials.resamples = 12;
     const auto run = [&](const core::AugmentationScheme& scheme,
                          std::vector<double>& out) {
-      const auto est = routing::estimate_greedy_diameter(
-          g, &scheme, oracle, trials, Rng(h.seed(0x7E3) ^ e));
+      const auto est = api::RouteService(g, oracle, &scheme, router)
+                           .estimate_diameter(trials, Rng(h.seed(0x7E3) ^ e));
       table.add_row({which, scheme.name(), Table::integer(g.num_nodes()),
                      Table::integer(g.num_edges()),
                      Table::integer(measures.shape),

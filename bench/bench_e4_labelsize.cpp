@@ -41,11 +41,12 @@ int main(int argc, char** argv) {
       const auto k = core::label_budget(n, eps);
       const auto scheme = core::make_restricted_label_scheme(g, k);
       graph::TargetDistanceCache oracle(g, 16);
+      const routing::GreedyRouter router(g, oracle);
       routing::TrialConfig trials;
       trials.num_pairs = 8;
       trials.resamples = 12;
-      const auto est = routing::estimate_greedy_diameter(
-          g, scheme.get(), oracle, trials, Rng(h.seed(0xE4) + e));
+      const auto est = api::RouteService(g, oracle, scheme.get(), router)
+                           .estimate_diameter(trials, Rng(h.seed(0xE4) + e));
       table.add_row({Table::num(eps, 2), Table::integer(n), Table::integer(k),
                      Table::num(est.max_mean_steps, 1),
                      Table::num(est.max_ci_halfwidth, 1)});

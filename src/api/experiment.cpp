@@ -337,12 +337,9 @@ ExperimentResult Experiment::run() const {
             const auto router =
                 routing::make_router(router_spec, cell_graph, cell_oracle);
             // The cell's whole pair × replicate grid routes as one
-            // target-sharded batch; numbers are bit-identical to the
-            // sequential estimator (see RouteService::estimate_diameter).
-            RouteServiceOptions service_options;
-            service_options.parallel = trials_.parallel;
+            // target-sharded batch (see RouteService::estimate_diameter).
             const RouteService service(cell_graph, cell_oracle, scheme.get(),
-                                       *router, service_options);
+                                       *router);
             routing::GreedyDiameterEstimate estimate;
             double success_rate = 1.0;
             if (!mutated && legacy_uniform) {

@@ -652,13 +652,10 @@ routing::GreedyDiameterEstimate RouteService::estimate_diameter(
     const routing::TrialConfig& config, Rng rng,
     const std::vector<std::pair<graph::NodeId, graph::NodeId>>& pairs) const {
   NAV_REQUIRE(graph_.num_nodes() >= 2, "graph too small to route");
-  NAV_REQUIRE(config.resamples >= 1, "need at least one resample");
   NAV_REQUIRE(!pairs.empty(), "no source/target pairs selected");
 
-  // The full pair × replicate grid as one batch. Job (p, r) keeps the
-  // trial_runner stream address rng.child(p + 1).child(r), so the Monte
-  // Carlo draws — and hence every statistic below — match the sequential
-  // estimator bit for bit.
+  // The full pair × replicate grid as one pair-major batch (the order
+  // summarize_trials folds); job (p, r) draws from rng.child(p + 1).child(r).
   const std::size_t resamples = config.resamples;
   std::vector<RouteJob> jobs;
   jobs.reserve(pairs.size() * resamples);
@@ -668,42 +665,8 @@ routing::GreedyDiameterEstimate RouteService::estimate_diameter(
       jobs.push_back({pairs[p].first, pairs[p].second, pair_stream.child(r)});
     }
   }
-  const auto results =
-      execute_jobs(jobs, options_.parallel && config.parallel, nullptr);
-
-  // Accumulation mirrors estimate_routed_pair / estimate_routed_diameter:
-  // replicates in index order per pair, then pair means in pair order.
-  routing::GreedyDiameterEstimate out;
-  out.pairs.resize(pairs.size());
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    nav::RunningStats step_stats, long_stats;
-    for (std::size_t r = 0; r < resamples; ++r) {
-      const auto& result = results[p * resamples + r];
-      step_stats.add(static_cast<double>(result.steps));
-      long_stats.add(static_cast<double>(result.long_links_used));
-    }
-    auto& est = out.pairs[p];
-    est.s = pairs[p].first;
-    est.t = pairs[p].second;
-    // Every route already resolved dist(s, t); re-querying the oracle here
-    // could re-BFS targets the LRU has since evicted.
-    est.distance = results[p * resamples].initial_distance;
-    est.mean_steps = step_stats.mean();
-    est.ci_halfwidth = step_stats.ci_halfwidth();
-    est.max_steps = step_stats.max();
-    est.mean_long_links = long_stats.mean();
-  }
-  nav::RunningStats all;
-  for (const auto& pe : out.pairs) {
-    all.add(pe.mean_steps);
-    if (pe.mean_steps > out.max_mean_steps) {
-      out.max_mean_steps = pe.mean_steps;
-      out.max_ci_halfwidth = pe.ci_halfwidth;
-    }
-  }
-  out.overall_mean_steps = all.mean();
-  out.trials = pairs.size() * resamples;
-  return out;
+  return routing::summarize_trials(
+      pairs, resamples, execute_jobs(jobs, options_.parallel, nullptr));
 }
 
 }  // namespace nav::api

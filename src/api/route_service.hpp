@@ -430,11 +430,11 @@ class RouteService {
   /// queue/admission counters plus the sojourn and execution histograms.
   [[nodiscard]] obs::Registry& metrics() const { return *metrics_; }
 
-  /// Greedy-diameter estimation routed through the batch path: the whole
-  /// pair × replicate grid becomes one target-sharded batch. Numbers are
-  /// bit-identical to routing::estimate_routed_diameter with the same
-  /// arguments (same pair selection, same child streams, same accumulation
-  /// order); only the execution schedule differs.
+  /// Greedy-diameter estimation, the library's one Monte-Carlo path: pairs
+  /// from routing::select_trial_pairs(rng.child(0xA11)), the whole pair ×
+  /// replicate grid routed as one target-sharded batch (pair p, replicate
+  /// r on rng.child(p + 1).child(r)), folded by routing::summarize_trials.
+  /// The numbers do not depend on options().parallel or the schedule.
   [[nodiscard]] routing::GreedyDiameterEstimate estimate_diameter(
       const routing::TrialConfig& config, Rng rng) const;
 

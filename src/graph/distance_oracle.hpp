@@ -144,14 +144,6 @@ class DistanceOracle {
       std::span<const NodeId> targets,
       std::span<const std::span<const NodeId>> sources,
       std::vector<DistVecPtr>& out) const;
-
-  /// Allocating convenience wrapper over prefetch_into.
-  [[nodiscard]] std::vector<DistVecPtr> prefetch(
-      std::span<const NodeId> targets) const {
-    std::vector<DistVecPtr> pinned;
-    prefetch_into(targets, pinned);
-    return pinned;
-  }
 };
 
 /// Dense all-pairs table. Memory: one n² byte slab at the chosen storage

@@ -1,9 +1,7 @@
 #include "routing/trial_runner.hpp"
 
-#include <algorithm>
-
 #include "graph/diameter.hpp"
-#include "runtime/worker_team.hpp"
+#include "runtime/stats.hpp"
 
 namespace nav::routing {
 
@@ -40,38 +38,20 @@ std::vector<std::pair<NodeId, NodeId>> select_trial_pairs(
   return pairs;
 }
 
-PairEstimate estimate_routed_pair(const Router& router,
-                                  const graph::DistanceOracle& oracle,
-                                  NodeId s, NodeId t,
-                                  const core::AugmentationScheme* scheme,
-                                  std::size_t resamples, Rng rng,
-                                  bool parallel) {
-  NAV_REQUIRE(resamples >= 1, "need at least one resample");
-  // Warm the oracle for t once so parallel replicates share the BFS.
-  (void)oracle.distances_to(t);
-
-  std::vector<double> steps(resamples, 0.0);
-  std::vector<double> longs(resamples, 0.0);
-  auto body = [&](std::size_t r) {
-    const auto result = router.route(s, t, scheme, rng.child(r));
-    steps[r] = static_cast<double>(result.steps);
-    longs[r] = static_cast<double>(result.long_links_used);
-  };
-  if (parallel) {
-    nav::parallel_for(0, resamples, body);
-  } else {
-    for (std::size_t r = 0; r < resamples; ++r) body(r);
-  }
-
+PairEstimate summarize_pair(NodeId s, NodeId t,
+                            std::span<const RouteResult> replicates) {
+  NAV_REQUIRE(!replicates.empty(), "need at least one replicate");
   nav::RunningStats step_stats, long_stats;
-  for (std::size_t r = 0; r < resamples; ++r) {
-    step_stats.add(steps[r]);
-    long_stats.add(longs[r]);
+  for (const auto& result : replicates) {
+    step_stats.add(static_cast<double>(result.steps));
+    long_stats.add(static_cast<double>(result.long_links_used));
   }
   PairEstimate est;
   est.s = s;
   est.t = t;
-  est.distance = oracle.distance(s, t);
+  // Every route already resolved dist(s, t); re-querying an oracle here
+  // could re-BFS targets an LRU has since evicted.
+  est.distance = replicates.front().initial_distance;
   est.mean_steps = step_stats.mean();
   est.ci_halfwidth = step_stats.ci_halfwidth();
   est.max_steps = step_stats.max();
@@ -79,27 +59,19 @@ PairEstimate estimate_routed_pair(const Router& router,
   return est;
 }
 
-GreedyDiameterEstimate estimate_routed_diameter(
-    const Router& router, const core::AugmentationScheme* scheme,
-    const graph::DistanceOracle& oracle, const TrialConfig& config, Rng rng) {
-  const Graph& g = router.graph();
-  NAV_REQUIRE(g.num_nodes() >= 2, "graph too small to route");
-  Rng pair_rng = rng.child(0xA11);
-  const auto pairs = select_trial_pairs(g, config, pair_rng);
-  NAV_REQUIRE(!pairs.empty(), "no source/target pairs selected");
-
+GreedyDiameterEstimate summarize_trials(
+    std::span<const std::pair<NodeId, NodeId>> pairs, std::size_t resamples,
+    std::span<const RouteResult> results) {
+  NAV_REQUIRE(resamples >= 1, "need at least one resample");
+  NAV_REQUIRE(results.size() == pairs.size() * resamples,
+              "trial grid needs pairs x resamples results");
   GreedyDiameterEstimate out;
-  out.pairs.resize(pairs.size());
-  // Parallelism lives inside estimate_routed_pair (over resamples); pairs
-  // run sequentially so each target's BFS is computed once and reused.
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    out.pairs[p] = estimate_routed_pair(router, oracle, pairs[p].first,
-                                        pairs[p].second, scheme,
-                                        config.resamples, rng.child(p + 1),
-                                        config.parallel);
-  }
+  out.pairs.reserve(pairs.size());
   nav::RunningStats all;
-  for (const auto& pe : out.pairs) {
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    const auto& pe = out.pairs.emplace_back(
+        summarize_pair(pairs[p].first, pairs[p].second,
+                       results.subspan(p * resamples, resamples)));
     all.add(pe.mean_steps);
     if (pe.mean_steps > out.max_mean_steps) {
       out.max_mean_steps = pe.mean_steps;
@@ -107,25 +79,8 @@ GreedyDiameterEstimate estimate_routed_diameter(
     }
   }
   out.overall_mean_steps = all.mean();
-  out.trials = pairs.size() * config.resamples;
+  out.trials = results.size();
   return out;
-}
-
-PairEstimate estimate_pair(const Graph& g,
-                           const core::AugmentationScheme* scheme,
-                           const graph::DistanceOracle& oracle, NodeId s,
-                           NodeId t, std::size_t resamples, Rng rng,
-                           bool parallel) {
-  GreedyRouter router(g, oracle);
-  return estimate_routed_pair(router, oracle, s, t, scheme, resamples, rng,
-                              parallel);
-}
-
-GreedyDiameterEstimate estimate_greedy_diameter(
-    const Graph& g, const core::AugmentationScheme* scheme,
-    const graph::DistanceOracle& oracle, const TrialConfig& config, Rng rng) {
-  GreedyRouter router(g, oracle);
-  return estimate_routed_diameter(router, scheme, oracle, config, rng);
 }
 
 }  // namespace nav::routing

@@ -1,29 +1,29 @@
-// trial_runner.hpp — Monte-Carlo estimation of E(φ, s, t) and the greedy
-// diameter diam(G, φ) = max_{s,t} E(φ, s, t).
+// trial_runner.hpp — the Monte-Carlo trial grid for E(φ, s, t) and the
+// greedy diameter diam(G, φ) = max_{s,t} E(φ, s, t), and the fold that turns
+// its routes into estimates.
 //
-// For each selected (s, t) pair the runner redraws the augmentation
-// `resamples` times and routes once per draw (lazy sampling = one fresh
-// augmented graph per trial). Pair selection:
+// For each selected (s, t) pair the augmentation is redrawn `resamples`
+// times and routed once per draw (lazy sampling = one fresh augmented graph
+// per trial). Pair selection:
 //   * kPeripheralPlusRandom (default): the double-sweep peripheral pair —
 //     which dominates the maximum in every family studied here — plus
 //     uniformly random distinct pairs;
 //   * kRandom: only random pairs;
 //   * kAllPairs: every ordered pair with s != t (small n / tests).
 //
-// The estimators are parameterized over the routing process (Router): the
-// `estimate_routed_*` entry points accept any registry router, while the
-// classic `estimate_greedy_diameter` / `estimate_pair` names remain as
-// greedy-router conveniences.
-//
-// Determinism: trial (pair p, replicate r) uses rng.child(p).child(r); the
-// result is independent of thread count and schedule.
+// The routes themselves run through api::RouteService (estimate_diameter,
+// or route_jobs for a caller-built grid); this layer only selects pairs and
+// folds results. Determinism: trial (pair p, replicate r) draws from
+// rng.child(p + 1).child(r), and the fold reads results in grid order, so
+// the estimate is independent of thread count and schedule.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
-#include "routing/greedy_router.hpp"
-#include "runtime/stats.hpp"
+#include "routing/router.hpp"
 
 namespace nav::routing {
 
@@ -32,7 +32,6 @@ struct TrialConfig {
   PairPolicy policy = PairPolicy::kPeripheralPlusRandom;
   std::size_t num_pairs = 24;   // random pairs (ignored for kAllPairs)
   std::size_t resamples = 16;   // augmentation redraws per pair
-  bool parallel = true;         // use the process-wide WorkerTeam
 };
 
 struct PairEstimate {
@@ -53,37 +52,23 @@ struct GreedyDiameterEstimate {
   std::size_t trials = 0;
 };
 
-/// The estimator's pair selection, exposed so batch drivers
-/// (api::RouteService) can reproduce the exact trial grid: peripheral pair
-/// first (policy-dependent), then random distinct pairs drawn from `rng`.
+/// The trial grid's pair selection: peripheral pair first
+/// (policy-dependent), then random distinct pairs drawn from `rng`.
 [[nodiscard]] std::vector<std::pair<NodeId, NodeId>> select_trial_pairs(
     const Graph& g, const TrialConfig& config, Rng& rng);
 
-/// Runs the estimation under an arbitrary routing process. `scheme` may be
-/// nullptr (no long links). The graph is the router's own (router.graph()),
-/// so a graph/router mismatch is unrepresentable; the router must be built
-/// over `oracle`.
-[[nodiscard]] GreedyDiameterEstimate estimate_routed_diameter(
-    const Router& router, const core::AugmentationScheme* scheme,
-    const graph::DistanceOracle& oracle, const TrialConfig& config, Rng rng);
+/// Folds one pair's replicate routes, in index order, into its estimate.
+/// `distance` is the first replicate's initial_distance. Throws
+/// std::invalid_argument on an empty span.
+[[nodiscard]] PairEstimate summarize_pair(
+    NodeId s, NodeId t, std::span<const RouteResult> replicates);
 
-/// Single-pair estimate under an arbitrary routing process.
-[[nodiscard]] PairEstimate estimate_routed_pair(
-    const Router& router, const graph::DistanceOracle& oracle, NodeId s,
-    NodeId t, const core::AugmentationScheme* scheme, std::size_t resamples,
-    Rng rng, bool parallel = true);
-
-/// Greedy-router convenience (the paper's process).
-[[nodiscard]] GreedyDiameterEstimate estimate_greedy_diameter(
-    const Graph& g, const core::AugmentationScheme* scheme,
-    const graph::DistanceOracle& oracle, const TrialConfig& config, Rng rng);
-
-/// Single-pair greedy estimate (used by tests and the phase analysis bench).
-[[nodiscard]] PairEstimate estimate_pair(const Graph& g,
-                                         const core::AugmentationScheme* scheme,
-                                         const graph::DistanceOracle& oracle,
-                                         NodeId s, NodeId t,
-                                         std::size_t resamples, Rng rng,
-                                         bool parallel = true);
+/// Folds a pair-major grid (pair p, replicate r at results[p * resamples +
+/// r]): each pair through summarize_pair, then the pair means in pair
+/// order. Throws std::invalid_argument unless resamples >= 1 and
+/// results.size() == pairs.size() * resamples.
+[[nodiscard]] GreedyDiameterEstimate summarize_trials(
+    std::span<const std::pair<NodeId, NodeId>> pairs, std::size_t resamples,
+    std::span<const RouteResult> results);
 
 }  // namespace nav::routing

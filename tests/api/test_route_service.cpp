@@ -11,7 +11,7 @@
 
 #include "api/engine.hpp"
 #include "graph/families.hpp"
-#include "routing/trial_runner.hpp"
+#include "support/trial_reference.hpp"
 
 namespace nav::api {
 namespace {
@@ -245,9 +245,9 @@ TEST(RouteService, SubmitDeliversFailuresThroughTheFuture) {
 }
 
 TEST(RouteService, EstimateDiameterMatchesTrialRunnerBitForBit) {
-  // The Experiment rewiring contract: the batched estimator must reproduce
-  // routing::estimate_routed_diameter exactly — same pair selection, same
-  // child streams, same accumulation order.
+  // The batched estimator must reproduce the sequential pair-by-pair
+  // reference exactly — same pair selection, same child streams, same
+  // accumulation order.
   auto engine = NavigationEngine::from_family("grid2d", 256);
   engine.use_scheme("ml");
   routing::TrialConfig config;
@@ -255,7 +255,7 @@ TEST(RouteService, EstimateDiameterMatchesTrialRunnerBitForBit) {
   config.resamples = 5;
   const Rng rng(0xbeef);
 
-  const auto reference = routing::estimate_routed_diameter(
+  const auto reference = routing::sequential_diameter_reference(
       engine.router(), engine.scheme(), engine.oracle(), config, rng);
   const auto batched = RouteService(engine).estimate_diameter(config, rng);
 

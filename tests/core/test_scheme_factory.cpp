@@ -42,6 +42,48 @@ TEST(SchemeFactory, UnknownSpecThrows) {
                std::invalid_argument);
 }
 
+// Malformed numeric arguments fail with std::invalid_argument naming the
+// spec: trailing garbage, overflow, an empty token, a sign on k.
+void expect_spec_rejected(const std::string& spec) {
+  const auto g = graph::make_path(8);
+  Rng rng(8);
+  try {
+    (void)make_scheme(spec, g, rng);
+    ADD_FAILURE() << spec << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(spec), std::string::npos)
+        << spec << ": " << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << spec << " threw the wrong type: " << e.what();
+  }
+}
+
+TEST(SchemeFactory, KleinbergRejectsTrailingGarbage) {
+  expect_spec_rejected("kleinberg:2abc");
+}
+
+TEST(SchemeFactory, KleinbergRejectsOverflow) {
+  expect_spec_rejected("kleinberg:1e999");
+}
+
+TEST(SchemeFactory, BallFixedRejectsTrailingGarbage) {
+  expect_spec_rejected("ball-fixed:3x");
+}
+
+TEST(SchemeFactory, BallFixedRejectsEmptyLevel) {
+  expect_spec_rejected("ball-fixed:");
+}
+
+TEST(SchemeFactory, BallFixedRejectsNegativeLevel) {
+  expect_spec_rejected("ball-fixed:-1");
+}
+
+TEST(SchemeFactory, BallFixedZeroClampsToOne) {
+  const auto g = graph::make_path(16);
+  Rng rng(9);
+  EXPECT_EQ(make_scheme("ball-fixed:0", g, rng)->name(), "ball-fixed-k1");
+}
+
 TEST(SchemeFactory, StandardSpecsNonEmpty) {
   const auto specs = standard_scheme_specs();
   EXPECT_GE(specs.size(), 3u);

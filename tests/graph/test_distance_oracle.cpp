@@ -77,7 +77,8 @@ TEST(TargetCache, PrefetchPinsBatchAndMatchesBfs) {
   const auto g = make_grid2d(8, 8);
   TargetDistanceCache cache(g, 2);  // capacity below the batch size
   const std::vector<NodeId> targets = {3, 17, 3, 40, 63};  // with a duplicate
-  const auto pinned = cache.prefetch(targets);
+  std::vector<DistVecPtr> pinned;
+  cache.prefetch_into(targets, pinned);
   ASSERT_EQ(pinned.size(), targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const auto expect = bfs_distances_reference(g, targets[i]);
@@ -89,7 +90,8 @@ TEST(TargetCache, PrefetchPinsBatchAndMatchesBfs) {
   EXPECT_EQ(cache.misses(), 4u);
   // A second prefetch of a resident target is a hit, not a BFS.
   const auto before = cache.misses();
-  (void)cache.prefetch(std::vector<NodeId>{63});
+  std::vector<DistVecPtr> again;
+  cache.prefetch_into(std::vector<NodeId>{63}, again);
   EXPECT_EQ(cache.misses(), before);
   EXPECT_GE(cache.hits(), 2u);  // the duplicate + the re-prefetch
 }
@@ -98,7 +100,8 @@ TEST(TargetCache, PrefetchDefaultImplOnDenseMatrix) {
   const auto g = make_cycle(12);
   DistanceMatrix dm(g);
   const std::vector<NodeId> targets = {0, 5, 11};
-  const auto pinned = dm.prefetch(targets);
+  std::vector<DistVecPtr> pinned;
+  dm.prefetch_into(targets, pinned);
   ASSERT_EQ(pinned.size(), 3u);
   for (std::size_t i = 0; i < targets.size(); ++i) {
     EXPECT_EQ(pinned[i], dm.distances_to(targets[i]));

@@ -6,7 +6,8 @@
 #include "core/scheme_factory.hpp"
 #include "graph/families.hpp"
 #include "graph/generators.hpp"
-#include "routing/trial_runner.hpp"
+#include "graph/oracle_factory.hpp"
+#include "support/trial_reference.hpp"
 
 namespace nav {
 namespace {
@@ -32,17 +33,24 @@ TEST(Determinism, SweepIdenticalAcrossRuns) {
 }
 
 TEST(Determinism, PairEstimateIndependentOfParallelism) {
+  // RouteService with parallel off and on must give the same estimate on
+  // every oracle kind: exact rows (matrix, cache) and the approximate
+  // landmark field.
   const auto g = graph::make_path(512);
-  graph::DistanceMatrix oracle(g);
   Rng rng(5);
   const auto scheme = core::make_scheme("ball", g, rng);
-  const auto par =
-      routing::estimate_pair(g, scheme.get(), oracle, 0, 511, 24, Rng(6), true);
-  const auto seq = routing::estimate_pair(g, scheme.get(), oracle, 0, 511, 24,
-                                          Rng(6), false);
-  EXPECT_DOUBLE_EQ(par.mean_steps, seq.mean_steps);
-  EXPECT_DOUBLE_EQ(par.max_steps, seq.max_steps);
-  EXPECT_DOUBLE_EQ(par.mean_long_links, seq.mean_long_links);
+  for (const auto* spec : {"matrix", "cache", "landmark:8"}) {
+    const auto oracle = graph::make_oracle(spec, g);
+    const auto par = routing::service_pair_estimate(
+        g, scheme.get(), *oracle, 0, 511, 24, Rng(6), true);
+    const auto seq = routing::service_pair_estimate(
+        g, scheme.get(), *oracle, 0, 511, 24, Rng(6), false);
+    EXPECT_DOUBLE_EQ(par.mean_steps, seq.mean_steps) << spec;
+    EXPECT_DOUBLE_EQ(par.max_steps, seq.max_steps) << spec;
+    EXPECT_DOUBLE_EQ(par.ci_halfwidth, seq.ci_halfwidth) << spec;
+    EXPECT_DOUBLE_EQ(par.mean_long_links, seq.mean_long_links) << spec;
+    EXPECT_EQ(par.distance, seq.distance) << spec;
+  }
 }
 
 TEST(Determinism, RandomFamiliesReproducible) {

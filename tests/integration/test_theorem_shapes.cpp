@@ -16,7 +16,7 @@
 #include "graph/families.hpp"
 #include "graph/generators.hpp"
 #include "graph/interval_model.hpp"
-#include "routing/trial_runner.hpp"
+#include "support/trial_reference.hpp"
 
 namespace nav {
 namespace {
@@ -27,7 +27,8 @@ using graph::NodeId;
 double pair_mean(const graph::Graph& g, const core::AugmentationScheme* scheme,
                  NodeId s, NodeId t, std::size_t resamples, std::uint64_t seed) {
   graph::TargetDistanceCache oracle(g, 8);
-  return routing::estimate_pair(g, scheme, oracle, s, t, resamples, Rng(seed))
+  return routing::service_pair_estimate(g, scheme, oracle, s, t, resamples,
+                                        Rng(seed))
       .mean_steps;
 }
 
@@ -163,8 +164,8 @@ TEST(TheoremShapes, AugmentationNeverHurts) {
   Rng rng(81);
   for (const auto& spec : {"uniform", "ml", "ball"}) {
     const auto scheme = core::make_scheme(spec, g, rng);
-    const auto est = routing::estimate_pair(g, scheme.get(), oracle, pp.a,
-                                            pp.b, 8, Rng(82));
+    const auto est = routing::service_pair_estimate(g, scheme.get(), oracle,
+                                                    pp.a, pp.b, 8, Rng(82));
     EXPECT_LE(est.max_steps, static_cast<double>(pp.distance)) << spec;
   }
 }

@@ -8,8 +8,8 @@
 #include "core/rank_scheme.hpp"
 #include "core/uniform_scheme.hpp"
 #include "graph/generators.hpp"
-#include "routing/trial_runner.hpp"
 #include "support/bfs_reference.hpp"
+#include "support/trial_reference.hpp"
 
 namespace nav::routing {
 namespace {
@@ -62,7 +62,7 @@ TEST(ExactAnalysis, MonteCarloMatchesExactUniform) {
   core::UniformScheme scheme(g);
   const double exact = exact_pair_expectation(g, &scheme, 0, 95);
   graph::DistanceMatrix oracle(g);
-  const auto mc = estimate_pair(g, &scheme, oracle, 0, 95, 3000, Rng(5));
+  const auto mc = service_pair_estimate(g, &scheme, oracle, 0, 95, 3000, Rng(5));
   EXPECT_NEAR(mc.mean_steps, exact, 5.0 * mc.ci_halfwidth + 1e-9);
 }
 
@@ -71,7 +71,7 @@ TEST(ExactAnalysis, MonteCarloMatchesExactBall) {
   core::BallScheme scheme(g);
   const double exact = exact_pair_expectation(g, &scheme, 0, 95);
   graph::DistanceMatrix oracle(g);
-  const auto mc = estimate_pair(g, &scheme, oracle, 0, 95, 3000, Rng(6));
+  const auto mc = service_pair_estimate(g, &scheme, oracle, 0, 95, 3000, Rng(6));
   EXPECT_NEAR(mc.mean_steps, exact, 5.0 * mc.ci_halfwidth + 1e-9);
 }
 
@@ -80,7 +80,7 @@ TEST(ExactAnalysis, MonteCarloMatchesExactML) {
   core::MLScheme scheme(g);
   const double exact = exact_pair_expectation(g, &scheme, 0, 63);
   graph::DistanceMatrix oracle(g);
-  const auto mc = estimate_pair(g, &scheme, oracle, 0, 63, 3000, Rng(7));
+  const auto mc = service_pair_estimate(g, &scheme, oracle, 0, 63, 3000, Rng(7));
   EXPECT_NEAR(mc.mean_steps, exact, 5.0 * mc.ci_halfwidth + 1e-9);
 }
 
@@ -89,7 +89,7 @@ TEST(ExactAnalysis, MonteCarloMatchesExactKleinbergOnGrid) {
   core::KleinbergScheme scheme(g, 2.0);
   const double exact = exact_pair_expectation(g, &scheme, 0, 63);
   graph::DistanceMatrix oracle(g);
-  const auto mc = estimate_pair(g, &scheme, oracle, 0, 63, 2000, Rng(8));
+  const auto mc = service_pair_estimate(g, &scheme, oracle, 0, 63, 2000, Rng(8));
   EXPECT_NEAR(mc.mean_steps, exact, 5.0 * mc.ci_halfwidth + 1e-9);
 }
 
@@ -98,7 +98,7 @@ TEST(ExactAnalysis, MonteCarloMatchesExactRank) {
   core::RankScheme scheme(g);
   const double exact = exact_pair_expectation(g, &scheme, 0, 24);
   graph::DistanceMatrix oracle(g);
-  const auto mc = estimate_pair(g, &scheme, oracle, 0, 24, 2000, Rng(9));
+  const auto mc = service_pair_estimate(g, &scheme, oracle, 0, 24, 2000, Rng(9));
   EXPECT_NEAR(mc.mean_steps, exact, 5.0 * mc.ci_halfwidth + 1e-9);
 }
 
