@@ -15,17 +15,16 @@
 // batch over the process-wide WorkerTeam.
 //
 // Usage: ./milgram [side=64] [chains=400]
-#include <cstdlib>
 #include <iostream>
 
 #include "nav/nav.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace nav;
-  const graph::NodeId side = argc > 1
-      ? static_cast<graph::NodeId>(std::strtoul(argv[1], nullptr, 10))
-      : 64;
-  const int chains = argc > 2 ? std::atoi(argv[2]) : 400;
+  const graph::NodeId side =
+      argc > 1 ? parse_spec_number<graph::NodeId>(argv[1], argv[1]) : 64;
+  const std::size_t chains =
+      argc > 2 ? parse_spec_number<std::size_t>(argv[2], argv[2]) : 400;
 
   api::EngineOptions options;
   options.cache_capacity = 16;
@@ -37,7 +36,7 @@ int main(int argc, char** argv) {
   Rng rng(1967);  // the year of the Milgram paper
   auto draw_pairs = [&](Rng pair_rng) {
     std::vector<std::pair<graph::NodeId, graph::NodeId>> pairs;
-    for (int c = 0; c < chains; ++c) {
+    for (std::size_t c = 0; c < chains; ++c) {
       const auto s = random_index(pair_rng, n);
       auto t = random_index(pair_rng, n);
       if (t == s) t = (t + 1) % n;
@@ -81,4 +80,9 @@ int main(int argc, char** argv) {
   std::cout << "\n(reference: Milgram's completed chains averaged ~6 hops at "
                "US population scale)\n";
   return 0;
+} catch (const std::exception& error) {
+  // Bad arguments (a non-numeric size, a graph the generators or the loader
+  // reject) surface as a one-line error, matching sweep_cli.
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

@@ -12,7 +12,6 @@
 //   ./navigability_report family <name> [n=4096]     e.g. family comb 4096
 //   ./navigability_report file <path>
 #include <cmath>
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -39,7 +38,7 @@ std::string predicted_bound(const std::string& scheme, double n, double ps) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace nav;
   if (argc < 3) {
     std::cerr << "usage: " << argv[0] << " family <name> [n] | file <path>\n";
@@ -55,9 +54,8 @@ int main(int argc, char** argv) {
   std::string source;
   std::optional<api::NavigationEngine> engine;
   if (std::string(argv[1]) == "family") {
-    const graph::NodeId n = argc > 3
-        ? static_cast<graph::NodeId>(std::strtoul(argv[3], nullptr, 10))
-        : 4096;
+    const graph::NodeId n =
+        argc > 3 ? parse_spec_number<graph::NodeId>(argv[3], argv[3]) : 4096;
     engine.emplace(
         api::NavigationEngine::from_family(argv[2], n, seed, options));
     source = std::string(argv[2]);
@@ -98,4 +96,9 @@ int main(int argc, char** argv) {
   }
   std::cout << table.to_ascii();
   return 0;
+} catch (const std::exception& error) {
+  // Bad arguments (a non-numeric size, a graph the generators or the loader
+  // reject) surface as a one-line error, matching sweep_cli.
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

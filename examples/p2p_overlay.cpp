@@ -15,19 +15,16 @@
 //                             tuned-but-dimension-aware baseline.
 //
 // Usage: ./p2p_overlay [n=16384] [lookups=200]
-#include <cstdlib>
 #include <iostream>
 
 #include "nav/nav.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace nav;
-  const graph::NodeId n = argc > 1
-      ? static_cast<graph::NodeId>(std::strtoul(argv[1], nullptr, 10))
-      : 16384;
-  const std::size_t lookups = argc > 2
-      ? static_cast<std::size_t>(std::strtoul(argv[2], nullptr, 10))
-      : 200;
+  const graph::NodeId n =
+      argc > 1 ? parse_spec_number<graph::NodeId>(argv[1], argv[1]) : 16384;
+  const std::size_t lookups =
+      argc > 2 ? parse_spec_number<std::size_t>(argv[2], argv[2]) : 200;
 
   api::EngineOptions options;
   options.cache_capacity = 64;
@@ -56,4 +53,9 @@ int main(int argc, char** argv) {
                "lookups; the ball finger needs no structural knowledge at all\n"
                "and still beats the sqrt(n) barrier (Theorem 4).\n";
   return 0;
+} catch (const std::exception& error) {
+  // Bad arguments (a non-numeric size, a graph the generators or the loader
+  // reject) surface as a one-line error, matching sweep_cli.
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

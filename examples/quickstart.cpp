@@ -2,16 +2,14 @@
 //
 // Builds a graph, augments it with the paper's schemes, routes greedily, and
 // prints how many steps each scheme needs. Run it:  ./quickstart [n]
-#include <cstdlib>
 #include <iostream>
 
 #include "nav/nav.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace nav;
-  const graph::NodeId n = argc > 1
-      ? static_cast<graph::NodeId>(std::strtoul(argv[1], nullptr, 10))
-      : 4096;
+  const graph::NodeId n =
+      argc > 1 ? parse_spec_number<graph::NodeId>(argv[1], argv[1]) : 4096;
 
   // 1. An engine on a graph where the sqrt(n) barrier actually bites: the
   //    path. The engine owns the distance oracle (auto-selected by size).
@@ -47,4 +45,9 @@ int main(int argc, char** argv) {
             << " long), lookahead:1 " << non.steps << " hops ("
             << non.long_links_used << " long)\n";
   return 0;
+} catch (const std::exception& error) {
+  // Bad arguments (a non-numeric size, a graph the generators or the loader
+  // reject) surface as a one-line error, matching sweep_cli.
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

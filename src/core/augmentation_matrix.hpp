@@ -8,8 +8,8 @@
 // Matrices are exposed through an abstract MatrixView because the matrices of
 // interest (uniform, the Theorem 2 hierarchy matrix A, their mix M=(A+U)/2)
 // are structured — entries are computed on demand and rows are sampled in
-// O(log n), never materialising n² storage. ExplicitMatrix covers small-n
-// tests and the Theorem 1 adversary on arbitrary matrices.
+// O(log n), never materialising n² storage. The dense reference matrix for
+// small-n tests lives in tests/support/explicit_matrix.hpp.
 #pragma once
 
 #include <memory>
@@ -87,29 +87,6 @@ class MixMatrix final : public MatrixView {
 
  private:
   MatrixPtr a_, b_;
-};
-
-/// Dense matrix for small n (tests, Theorem 1 adversary instances).
-class ExplicitMatrix final : public MatrixView {
- public:
-  /// Zero matrix of size n (every row sums to 0: no links).
-  explicit ExplicitMatrix(Label n);
-  /// Materialises any view (requires modest n).
-  explicit ExplicitMatrix(const MatrixView& view);
-
-  void set(Label i, Label j, double p);
-
-  [[nodiscard]] Label size() const override { return n_; }
-  [[nodiscard]] double entry(Label i, Label j) const override;
-  [[nodiscard]] std::optional<Label> sample_row(Label i, Rng& rng) const override;
-  [[nodiscard]] std::string name() const override { return "explicit"; }
-
-  /// Definition 1 check: entries in [0,1], row sums <= 1 (+ tolerance).
-  [[nodiscard]] bool is_valid(double tolerance = 1e-9) const;
-
- private:
-  Label n_;
-  std::vector<double> cells_;  // row-major, (i-1)*n + (j-1)
 };
 
 /// The scheme "(M, L)": node u samples label j from row L(u), then a uniform

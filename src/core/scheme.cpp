@@ -19,13 +19,4 @@ std::vector<double> AugmentationScheme::probability_row(NodeId u) const {
   return row;
 }
 
-std::vector<NodeId> sample_all_contacts(const AugmentationScheme& scheme,
-                                        Rng& rng) {
-  std::vector<NodeId> contacts(scheme.num_nodes(), kNoContact);
-  for (NodeId u = 0; u < scheme.num_nodes(); ++u) {
-    contacts[u] = scheme.sample_contact(u, rng);
-  }
-  return contacts;
-}
-
 }  // namespace nav::core

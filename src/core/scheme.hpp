@@ -6,8 +6,8 @@
 // distribution-identical to pre-sampling one contact per node, because greedy
 // routing strictly decreases the distance to the target at every step (each
 // node has a local neighbour strictly closer to the target), hence never
-// visits a node twice within one routing episode. Eager pre-sampling is also
-// provided (sample_all_contacts) and the equivalence is covered by tests.
+// visits a node twice within one routing episode. The eager reference
+// (tests/support/fixed_contacts.hpp) covers the equivalence in tests.
 //
 // Contacts may be absent: substochastic matrix rows (Definition 1 allows
 // row sums < 1) and empty label classes yield kNoContact, meaning the node
@@ -54,10 +54,6 @@ class AugmentationScheme {
   /// Number of nodes of the augmented graph.
   [[nodiscard]] virtual NodeId num_nodes() const = 0;
 };
-
-/// Eager augmentation: one contact per node (the paper's static view).
-[[nodiscard]] std::vector<NodeId> sample_all_contacts(
-    const AugmentationScheme& scheme, Rng& rng);
 
 /// Fixed-augmentation view with *memoised lazy* sampling: node u's contact is
 /// drawn from rng.child(u) on first access and cached, so the realised

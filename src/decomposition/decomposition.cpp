@@ -116,119 +116,4 @@ std::size_t PathDecomposition::reduce() {
   return removed;
 }
 
-TreeDecomposition::TreeDecomposition(
-    std::vector<Bag> bags,
-    std::vector<std::pair<std::size_t, std::size_t>> tree_edges)
-    : bags_(std::move(bags)), edges_(std::move(tree_edges)) {
-  for (auto& b : bags_) b = make_bag(std::move(b));
-  for (const auto& [a, b] : edges_) {
-    NAV_REQUIRE(a < bags_.size() && b < bags_.size(),
-                "tree edge references missing bag");
-    NAV_REQUIRE(a != b, "tree self loop");
-  }
-}
-
-bool TreeDecomposition::is_valid(const Graph& g, std::string* why) const {
-  const NodeId n = g.num_nodes();
-  if (bags_.empty()) {
-    if (n == 0) return true;
-    set_reason(why, "no bags but graph has vertices");
-    return false;
-  }
-  // The bag connectivity structure must be a tree.
-  if (edges_.size() + 1 != bags_.size()) {
-    set_reason(why, "bag tree is not a tree (edge count)");
-    return false;
-  }
-  std::vector<std::vector<std::size_t>> adj(bags_.size());
-  for (const auto& [a, b] : edges_) {
-    adj[a].push_back(b);
-    adj[b].push_back(a);
-  }
-  {
-    std::vector<std::uint8_t> seen(bags_.size(), 0);
-    std::vector<std::size_t> queue{0};
-    seen[0] = 1;
-    std::size_t head = 0, reached = 1;
-    while (head < queue.size()) {
-      const auto i = queue[head++];
-      for (const auto j : adj[i]) {
-        if (!seen[j]) {
-          seen[j] = 1;
-          ++reached;
-          queue.push_back(j);
-        }
-      }
-    }
-    if (reached != bags_.size()) {
-      set_reason(why, "bag tree is disconnected");
-      return false;
-    }
-  }
-  // Vertex coverage + subtree condition: for each vertex, the bags holding it
-  // must form a connected subgraph of the bag tree.
-  std::vector<std::vector<std::size_t>> holding(n);
-  for (std::size_t i = 0; i < bags_.size(); ++i) {
-    for (const NodeId v : bags_[i]) {
-      if (v >= n) {
-        set_reason(why, "bag contains out-of-range vertex " + std::to_string(v));
-        return false;
-      }
-      holding[v].push_back(i);
-    }
-  }
-  std::vector<std::uint8_t> in_set(bags_.size(), 0);
-  for (NodeId v = 0; v < n; ++v) {
-    if (holding[v].empty()) {
-      set_reason(why, "vertex " + std::to_string(v) + " is in no bag");
-      return false;
-    }
-    for (const auto i : holding[v]) in_set[i] = 1;
-    std::vector<std::size_t> queue{holding[v][0]};
-    std::vector<std::uint8_t> seen(bags_.size(), 0);
-    seen[holding[v][0]] = 1;
-    std::size_t head = 0, reached = 1;
-    while (head < queue.size()) {
-      const auto i = queue[head++];
-      for (const auto j : adj[i]) {
-        if (in_set[j] && !seen[j]) {
-          seen[j] = 1;
-          ++reached;
-          queue.push_back(j);
-        }
-      }
-    }
-    const bool connected = reached == holding[v].size();
-    for (const auto i : holding[v]) in_set[i] = 0;
-    if (!connected) {
-      set_reason(why,
-                 "vertex " + std::to_string(v) + " does not induce a subtree");
-      return false;
-    }
-  }
-  // Edge coverage.
-  for (const auto& [u, v] : g.edge_list()) {
-    bool covered = false;
-    for (const auto i : holding[u]) {
-      if (bag_contains(bags_[i], v)) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) {
-      std::ostringstream msg;
-      msg << "edge (" << u << "," << v << ") is covered by no bag";
-      set_reason(why, msg.str());
-      return false;
-    }
-  }
-  return true;
-}
-
-TreeDecomposition to_tree_decomposition(const PathDecomposition& pd) {
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
-  for (std::size_t i = 0; i + 1 < pd.num_bags(); ++i) edges.emplace_back(i, i + 1);
-  return TreeDecomposition(pd.bags(), std::move(edges));
-}
-
 }  // namespace nav::decomp

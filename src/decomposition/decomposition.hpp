@@ -1,9 +1,8 @@
-// decomposition.hpp — path- and tree-decompositions (Robertson–Seymour).
+// decomposition.hpp — path-decompositions (Robertson–Seymour).
 //
-// A tree-decomposition of G is a tree T plus a bag X_i ⊆ V(G) per tree node
-// such that (1) every vertex is in some bag, (2) every edge has both ends in
-// some bag, (3) the bags containing any fixed vertex induce a subtree of T.
-// A path-decomposition restricts T to a path; bags are then simply ordered.
+// A path-decomposition of G is a sequence of bags X_1, ..., X_r ⊆ V(G) such
+// that (1) every vertex is in some bag, (2) every edge has both ends in some
+// bag, (3) the bags containing any fixed vertex are consecutive.
 //
 // The paper's Theorem 2 labels nodes by the bag interval they occupy in a
 // path-decomposition, so PathDecomposition also exposes the per-node index
@@ -12,7 +11,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -63,33 +61,5 @@ class PathDecomposition {
  private:
   std::vector<Bag> bags_;
 };
-
-class TreeDecomposition {
- public:
-  TreeDecomposition() = default;
-  /// `tree_edges` connect bag indices; they must form a tree over the bags.
-  TreeDecomposition(std::vector<Bag> bags,
-                    std::vector<std::pair<std::size_t, std::size_t>> tree_edges);
-
-  [[nodiscard]] std::size_t num_bags() const noexcept { return bags_.size(); }
-  [[nodiscard]] const Bag& bag(std::size_t i) const {
-    NAV_ASSERT(i < bags_.size());
-    return bags_[i];
-  }
-  [[nodiscard]] const std::vector<Bag>& bags() const noexcept { return bags_; }
-  [[nodiscard]] const std::vector<std::pair<std::size_t, std::size_t>>&
-  tree_edges() const noexcept {
-    return edges_;
-  }
-
-  [[nodiscard]] bool is_valid(const Graph& g, std::string* why = nullptr) const;
-
- private:
-  std::vector<Bag> bags_;
-  std::vector<std::pair<std::size_t, std::size_t>> edges_;
-};
-
-/// Any path decomposition is a tree decomposition (path-shaped tree).
-[[nodiscard]] TreeDecomposition to_tree_decomposition(const PathDecomposition& pd);
 
 }  // namespace nav::decomp

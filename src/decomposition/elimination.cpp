@@ -77,52 +77,6 @@ std::vector<NodeId> elimination_ordering(const Graph& g,
   return ordering;
 }
 
-TreeDecomposition elimination_tree_decomposition(
-    const Graph& g, const std::vector<NodeId>& ordering) {
-  const NodeId n = g.num_nodes();
-  NAV_REQUIRE(ordering.size() == n, "ordering size mismatch");
-  {
-    std::vector<std::uint8_t> seen(n, 0);
-    for (const NodeId v : ordering) {
-      NAV_REQUIRE(v < n && !seen[v], "ordering is not a permutation");
-      seen[v] = 1;
-    }
-  }
-  if (n == 1) return TreeDecomposition({{ordering[0]}}, {});
-
-  std::vector<std::size_t> position(n, 0);
-  for (std::size_t i = 0; i < ordering.size(); ++i) position[ordering[i]] = i;
-
-  auto adj = mutable_adjacency(g);
-  std::vector<Bag> bags(n);
-  std::vector<std::pair<std::size_t, std::size_t>> edges;
-  for (std::size_t i = 0; i < ordering.size(); ++i) {
-    const NodeId v = ordering[i];
-    Bag bag{v};
-    // Earliest-eliminated remaining neighbour becomes the parent bag.
-    std::size_t parent_pos = std::numeric_limits<std::size_t>::max();
-    for (const NodeId w : adj[v]) {
-      bag.push_back(w);
-      parent_pos = std::min(parent_pos, position[w]);
-    }
-    bags[i] = std::move(bag);
-    if (parent_pos != std::numeric_limits<std::size_t>::max()) {
-      edges.emplace_back(i, parent_pos);
-    } else if (i + 1 < ordering.size()) {
-      // Isolated in the remainder (disconnected input or the very last
-      // pair): hang under the next bag to keep the bag tree connected.
-      edges.emplace_back(i, i + 1);
-    }
-    eliminate(adj, v);
-  }
-  return TreeDecomposition(std::move(bags), std::move(edges));
-}
-
-TreeDecomposition elimination_tree_decomposition(const Graph& g,
-                                                 EliminationHeuristic heuristic) {
-  return elimination_tree_decomposition(g, elimination_ordering(g, heuristic));
-}
-
 PathDecomposition elimination_path_decomposition(
     const Graph& g, const std::vector<NodeId>& ordering) {
   const NodeId n = g.num_nodes();

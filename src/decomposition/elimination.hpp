@@ -1,17 +1,13 @@
-// elimination.hpp — tree decompositions from elimination orderings.
+// elimination.hpp — path decompositions from elimination orderings.
 //
-// The classical constructive route to tree decompositions: eliminate
-// vertices one by one, connecting the current neighbourhood into a clique
-// (the fill-in); the bag of v is {v} ∪ N(v) at elimination time, and v's bag
-// hangs under the bag of its earliest-eliminated remaining neighbour. Width
-// = max bag - 1; the ordering heuristic determines quality:
+// Eliminate vertices one by one, connecting the current neighbourhood into a
+// clique (the fill-in); the ordering heuristic determines quality:
 //   * min-degree  — eliminate the vertex of smallest current degree;
 //   * min-fill    — eliminate the vertex whose elimination adds the fewest
 //                   fill edges.
-// Both are the standard baselines in treewidth practice. The resulting
-// *tree* decomposition also converts to a path decomposition by bag order
-// (valid but usually wider) — giving the pathshape portfolio another
-// generic candidate on dense graphs.
+// Both are the standard baselines in treewidth practice. Laying the
+// ordering out as cumulative separators gives a valid path decomposition —
+// the pathshape portfolio's generic candidate on sparse structured graphs.
 #pragma once
 
 #include "decomposition/decomposition.hpp"
@@ -23,15 +19,6 @@ enum class EliminationHeuristic { kMinDegree, kMinFill };
 /// The elimination ordering chosen by the heuristic. O(n·m)-ish with the
 /// simple set-based implementation (fine at library scale).
 [[nodiscard]] std::vector<NodeId> elimination_ordering(
-    const Graph& g, EliminationHeuristic heuristic);
-
-/// Tree decomposition induced by an elimination ordering (see header).
-/// Valid for any connected graph and any permutation ordering.
-[[nodiscard]] TreeDecomposition elimination_tree_decomposition(
-    const Graph& g, const std::vector<NodeId>& ordering);
-
-/// Convenience: ordering + decomposition in one call.
-[[nodiscard]] TreeDecomposition elimination_tree_decomposition(
     const Graph& g, EliminationHeuristic heuristic);
 
 /// Path decomposition obtained by *cumulative separators* along the

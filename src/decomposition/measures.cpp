@@ -77,6 +77,12 @@ bool is_clique_bag(const Graph& g, const Bag& bag) {
   return true;
 }
 
+/// min(width, length), reading an unreachable length as "longer than width".
+std::size_t shape_of(std::size_t width, Dist length) {
+  return length == graph::kInfDist ? width
+                                    : std::min<std::size_t>(width, length);
+}
+
 }  // namespace
 
 Dist bag_length(const Graph& g, const Bag& bag) {
@@ -97,46 +103,27 @@ std::size_t bag_shape(const Graph& g, const Bag& bag) {
   const std::size_t width = bag_width(bag);
   if (width == 0) return 0;
   // Short-circuit: length is only needed when it could be smaller than width.
-  const Dist length = bag_length(g, bag);
-  if (length == graph::kInfDist) return width;
-  return std::min<std::size_t>(width, length);
+  return shape_of(width, bag_length(g, bag));
 }
-
-namespace {
-
-template <typename Decomposition>
-DecompositionMeasures measure_impl(const Graph& g, const Decomposition& d) {
-  DecompositionMeasures out;
-  out.num_bags = d.num_bags();
-  for (const auto& bag : d.bags()) {
-    out.width = std::max(out.width, bag_width(bag));
-    out.max_bag_size = std::max(out.max_bag_size, bag.size());
-    const Dist len = bag_length(g, bag);
-    if (len != graph::kInfDist) out.length = std::max(out.length, len);
-    out.shape = std::max(out.shape, bag_shape(g, bag));
-  }
-  return out;
-}
-
-}  // namespace
 
 DecompositionMeasures measure(const Graph& g, const PathDecomposition& pd) {
-  return measure_impl(g, pd);
-}
-
-DecompositionMeasures measure(const Graph& g, const TreeDecomposition& td) {
-  return measure_impl(g, td);
+  DecompositionMeasures out;
+  out.num_bags = pd.num_bags();
+  for (const auto& bag : pd.bags()) {
+    const std::size_t width = bag_width(bag);
+    out.width = std::max(out.width, width);
+    out.max_bag_size = std::max(out.max_bag_size, bag.size());
+    // One length per bag feeds both the length and the shape aggregate.
+    const Dist len = bag_length(g, bag);
+    if (len != graph::kInfDist) out.length = std::max(out.length, len);
+    out.shape = std::max(out.shape, shape_of(width, len));
+  }
+  return out;
 }
 
 std::size_t width_of(const PathDecomposition& pd) {
   std::size_t w = 0;
   for (const auto& bag : pd.bags()) w = std::max(w, bag_width(bag));
-  return w;
-}
-
-std::size_t width_of(const TreeDecomposition& td) {
-  std::size_t w = 0;
-  for (const auto& bag : td.bags()) w = std::max(w, bag_width(bag));
   return w;
 }
 

@@ -5,10 +5,9 @@
 //   shape(X)  = min(width(X), length(X))                  [this paper]
 //
 // The measure of a decomposition is the max over its bags; pathshape ps(G)
-// (resp. treeshape ts(G)) is the min over all path- (tree-) decompositions.
-// Computing ps(G) exactly is intractable in general; the library computes
-// exact measures of *given* decompositions and certified upper bounds via the
-// family-specific builders.
+// is the min over all path-decompositions. Computing ps(G) exactly is
+// intractable in general; the library computes exact measures of *given*
+// decompositions and certified upper bounds via the family-specific builders.
 #pragma once
 
 #include <cstdint>
@@ -54,11 +53,8 @@ struct DecompositionMeasures {
 
 [[nodiscard]] DecompositionMeasures measure(const Graph& g,
                                             const PathDecomposition& pd);
-[[nodiscard]] DecompositionMeasures measure(const Graph& g,
-                                            const TreeDecomposition& td);
 
 /// Width-only fast path (no BFS).
 [[nodiscard]] std::size_t width_of(const PathDecomposition& pd);
-[[nodiscard]] std::size_t width_of(const TreeDecomposition& td);
 
 }  // namespace nav::decomp

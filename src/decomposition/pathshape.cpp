@@ -120,8 +120,4 @@ ShapedDecomposition best_path_decomposition(const Graph& g,
   return std::move(*best);
 }
 
-std::size_t pathshape_upper_bound(const Graph& g) {
-  return best_path_decomposition(g).measures.shape;
-}
-
 }  // namespace nav::decomp

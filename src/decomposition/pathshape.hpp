@@ -41,13 +41,11 @@ struct PathshapeOptions {
 };
 
 /// Runs every applicable builder on g, measures each result, returns the one
-/// with the smallest shape (ties: fewer bags). Never fails on a connected
-/// graph (bfs-layer and trivial always apply).
+/// with the smallest shape (ties: fewer bags); its measures.shape is an upper
+/// bound on ps(G). Never fails on a connected graph (bfs-layer and trivial
+/// always apply).
 [[nodiscard]] ShapedDecomposition best_path_decomposition(
     const Graph& g, const PathshapeOptions& options = {});
-
-/// Shape of best_path_decomposition — an upper bound on ps(G).
-[[nodiscard]] std::size_t pathshape_upper_bound(const Graph& g);
 
 /// Measures a given decomposition with the length-evaluation cap applied
 /// (shape scored by width alone for oversized bags; still an upper bound).

@@ -117,7 +117,6 @@
 #include "decomposition/tree_path_decomposition.hpp"
 
 // routing — routers, the router registry, Monte-Carlo estimation.
-#include "routing/exact_analysis.hpp"
 #include "routing/greedy_router.hpp"
 #include "routing/lookahead_router.hpp"
 #include "routing/router.hpp"

@@ -83,16 +83,4 @@ RouteResult GreedyRouter::route_resolved(NodeId s, NodeId t,
       [&](NodeId u) { return scheme->sample_contact(u, rng); }, record_trace);
 }
 
-RouteResult GreedyRouter::route_with_contacts(NodeId s, NodeId t,
-                                              std::span<const NodeId> contacts,
-                                              bool record_trace) const {
-  NAV_REQUIRE(contacts.size() == graph_.num_nodes(),
-              "contact vector size mismatch");
-  NAV_REQUIRE(s < graph_.num_nodes() && t < graph_.num_nodes(),
-              "route endpoint out of range");
-  return route_impl(
-      s, t, *oracle_.distances_to(t), [&](NodeId u) { return contacts[u]; },
-      record_trace);
-}
-
 }  // namespace nav::routing

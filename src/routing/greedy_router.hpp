@@ -46,12 +46,6 @@ class GreedyRouter final : public Router {
       const AugmentationScheme* scheme, Rng rng,
       bool record_trace = false) const override;
 
-  /// Routes with a fixed (eagerly sampled) contact vector: contacts[u] is
-  /// u's long-range contact or core::kNoContact.
-  [[nodiscard]] RouteResult route_with_contacts(
-      NodeId s, NodeId t, std::span<const NodeId> contacts,
-      bool record_trace = false) const;
-
   [[nodiscard]] std::string name() const override { return "greedy"; }
   [[nodiscard]] const Graph& graph() const noexcept override { return graph_; }
 

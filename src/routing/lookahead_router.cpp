@@ -32,22 +32,6 @@ RouteResult LookaheadRouter::route_resolved(NodeId s, NodeId t,
       record_trace);
 }
 
-RouteResult LookaheadRouter::route(NodeId s, NodeId t,
-                                   std::span<const NodeId> contacts,
-                                   bool record_trace) const {
-  NAV_REQUIRE(contacts.size() == graph_.num_nodes(),
-              "contact vector size mismatch");
-  return route(
-      s, t, [&contacts](NodeId u) { return contacts[u]; }, record_trace);
-}
-
-RouteResult LookaheadRouter::route(NodeId s, NodeId t, const ContactFn& contacts,
-                                   bool record_trace) const {
-  NAV_REQUIRE(t < graph_.num_nodes(), "route endpoint out of range");
-  const auto dist_ptr = oracle_.distances_to(t);
-  return route_impl(s, t, *dist_ptr, contacts, record_trace);
-}
-
 RouteResult LookaheadRouter::route_impl(NodeId s, NodeId t,
                                         std::span<const Dist> dist,
                                         const ContactFn& contacts,

@@ -18,10 +18,11 @@
 // plain greedy router.
 //
 // Lookahead requires *consistent* contacts (the neighbour's link must be the
-// same when the message reaches it), so the API takes a contact vector —
-// sample one with core::sample_all_contacts — or a memoised contact function
-// (core::MemoContacts). The Router-interface route(scheme, rng) overload
-// builds a MemoContacts internally from its private rng stream.
+// same when the message reaches it), so route(scheme, rng) realises the
+// augmentation through a memoised contact function (core::MemoContacts)
+// built from its private rng stream. Tests that need a fixed contact vector
+// (drawn eagerly by tests/support/fixed_contacts.hpp) route through a scheme
+// that replays it.
 //
 // This is extension experiment E10: how much of the sqrt(n)-barrier can
 // extra *local knowledge* recover, compared to changing the augmentation
@@ -58,18 +59,6 @@ class LookaheadRouter final : public Router {
       const AugmentationScheme* scheme, Rng rng,
       bool record_trace = false) const override;
 
-  /// NoN-greedy route with fixed contacts (contacts[u] may be kNoContact).
-  [[nodiscard]] RouteResult route(NodeId s, NodeId t,
-                                  std::span<const NodeId> contacts,
-                                  bool record_trace = false) const;
-
-  /// Same protocol over a contact *function* — typically core::MemoContacts,
-  /// which realises the fixed augmentation lazily (the function must return
-  /// the same value on repeated calls for a node).
-  using ContactFn = std::function<NodeId(NodeId)>;
-  [[nodiscard]] RouteResult route(NodeId s, NodeId t, const ContactFn& contacts,
-                                  bool record_trace = false) const;
-
   [[nodiscard]] std::string name() const override {
     return "lookahead:" + std::to_string(depth_);
   }
@@ -77,6 +66,9 @@ class LookaheadRouter final : public Router {
   [[nodiscard]] unsigned depth() const noexcept { return depth_; }
 
  private:
+  /// `contacts` must return the same value on repeated calls for a node:
+  /// core::MemoContacts, or no contacts at all.
+  using ContactFn = std::function<NodeId(NodeId)>;
   RouteResult route_impl(NodeId s, NodeId t, std::span<const Dist> dist,
                          const ContactFn& contacts, bool record_trace) const;
 

@@ -58,6 +58,10 @@ namespace nav {
     }                                                                         \
     return p;                                                                 \
   }                                                                           \
+  /* Out of line on purpose: inlined into a caller whose pointer gcc          \
+     traced to operator new, a bare std::free reads as a mismatched           \
+     deallocation (-Wmismatched-new-delete). */                               \
+  [[gnu::noinline]] void counted_free(void* p) noexcept { std::free(p); }     \
   }                                                                           \
   namespace nav {                                                             \
   std::uint64_t allocation_count() noexcept {                                 \
@@ -87,24 +91,34 @@ namespace nav {
   void* operator new[](std::size_t size, std::align_val_t align) {            \
     return ::operator new(size, align);                                       \
   }                                                                           \
-  void operator delete(void* p) noexcept { std::free(p); }                    \
-  void operator delete[](void* p) noexcept { std::free(p); }                  \
-  void operator delete(void* p, std::size_t) noexcept { std::free(p); }       \
-  void operator delete[](void* p, std::size_t) noexcept { std::free(p); }     \
+  void operator delete(void* p) noexcept {                                    \
+    ::nav::alloc_counter_detail::counted_free(p);                             \
+  }                                                                           \
+  void operator delete[](void* p) noexcept {                                  \
+    ::nav::alloc_counter_detail::counted_free(p);                             \
+  }                                                                           \
+  void operator delete(void* p, std::size_t) noexcept {                       \
+    ::nav::alloc_counter_detail::counted_free(p);                             \
+  }                                                                           \
+  void operator delete[](void* p, std::size_t) noexcept {                     \
+    ::nav::alloc_counter_detail::counted_free(p);                             \
+  }                                                                           \
   void operator delete(void* p, const std::nothrow_t&) noexcept {             \
-    std::free(p);                                                             \
+    ::nav::alloc_counter_detail::counted_free(p);                             \
   }                                                                           \
   void operator delete[](void* p, const std::nothrow_t&) noexcept {           \
-    std::free(p);                                                             \
+    ::nav::alloc_counter_detail::counted_free(p);                             \
   }                                                                           \
-  void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }  \
+  void operator delete(void* p, std::align_val_t) noexcept {                  \
+    ::nav::alloc_counter_detail::counted_free(p);                             \
+  }                                                                           \
   void operator delete[](void* p, std::align_val_t) noexcept {                \
-    std::free(p);                                                             \
+    ::nav::alloc_counter_detail::counted_free(p);                             \
   }                                                                           \
   void operator delete(void* p, std::size_t, std::align_val_t) noexcept {     \
-    std::free(p);                                                             \
+    ::nav::alloc_counter_detail::counted_free(p);                             \
   }                                                                           \
   void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {   \
-    std::free(p);                                                             \
+    ::nav::alloc_counter_detail::counted_free(p);                             \
   }                                                                           \
   static_assert(true, "NAV_DEFINE_ALLOC_COUNTER requires a trailing semicolon")

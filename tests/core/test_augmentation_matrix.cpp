@@ -6,6 +6,7 @@
 #include <map>
 
 #include "core/level_hierarchy.hpp"
+#include "support/explicit_matrix.hpp"
 
 namespace nav::core {
 namespace {

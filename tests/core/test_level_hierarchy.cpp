@@ -23,7 +23,9 @@ TEST(Level, MixedValues) {
   EXPECT_EQ(level(40), 3u);   // 101000
 }
 
-TEST(Level, RejectsZero) { EXPECT_THROW(level(0), std::invalid_argument); }
+TEST(Level, RejectsZero) {
+  EXPECT_THROW((void)level(0), std::invalid_argument);
+}
 
 TEST(Ancestor, ZeroIsSelf) {
   for (const std::uint64_t x : {1ull, 6ull, 40ull, 1023ull}) {
@@ -118,15 +120,17 @@ TEST(MaxLevelIndex, ResultIsUniqueMaximum) {
       ASSERT_GE(best, lo);
       ASSERT_LE(best, hi);
       for (std::uint64_t x = lo; x <= hi; ++x) {
-        if (x != best) EXPECT_LT(level(x), level(best)) << lo << ".." << hi;
+        if (x != best) {
+          EXPECT_LT(level(x), level(best)) << lo << ".." << hi;
+        }
       }
     }
   }
 }
 
 TEST(MaxLevelIndex, RejectsBadInterval) {
-  EXPECT_THROW(max_level_index(0, 5), std::invalid_argument);
-  EXPECT_THROW(max_level_index(6, 5), std::invalid_argument);
+  EXPECT_THROW((void)max_level_index(0, 5), std::invalid_argument);
+  EXPECT_THROW((void)max_level_index(6, 5), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "support/explicit_matrix.hpp"
+
 namespace nav::core {
 namespace {
 

@@ -15,8 +15,8 @@ TEST(LabelBudget, EndpointsAndMonotonicity) {
 }
 
 TEST(LabelBudget, RejectsBadEpsilon) {
-  EXPECT_THROW(label_budget(100, -0.1), std::invalid_argument);
-  EXPECT_THROW(label_budget(100, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)label_budget(100, -0.1), std::invalid_argument);
+  EXPECT_THROW((void)label_budget(100, 1.5), std::invalid_argument);
 }
 
 TEST(RestrictedScheme, BuildsAndSamples) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "support/fixed_contacts.hpp"
 
 namespace nav::core {
 namespace {

@@ -91,41 +91,5 @@ TEST(PathDecomposition, EmptyDecompositionOnlyValidForEmptyGraph) {
   EXPECT_FALSE(pd.is_valid(make_path(1)));
 }
 
-TEST(TreeDecomposition, PathAsTreeValid) {
-  const auto g = make_path(4);
-  const auto td =
-      to_tree_decomposition(PathDecomposition({{0, 1}, {1, 2}, {2, 3}}));
-  std::string why;
-  EXPECT_TRUE(td.is_valid(g, &why)) << why;
-}
-
-TEST(TreeDecomposition, StarDecompositionValid) {
-  // K_1,3: bags {0,1},{0,2},{0,3} on a star-shaped bag tree.
-  const auto g = graph::make_star(4);
-  TreeDecomposition td({{0, 1}, {0, 2}, {0, 3}}, {{0, 1}, {1, 2}});
-  EXPECT_TRUE(td.is_valid(g));
-}
-
-TEST(TreeDecomposition, DetectsDisconnectedVertexSubtree) {
-  const auto g = make_path(3);
-  // Node 0 in bags 0 and 2, which are not adjacent in the bag tree.
-  TreeDecomposition td({{0, 1}, {1, 2}, {0, 2}}, {{0, 1}, {1, 2}});
-  std::string why;
-  EXPECT_FALSE(td.is_valid(g, &why));
-  EXPECT_NE(why.find("subtree"), std::string::npos);
-}
-
-TEST(TreeDecomposition, DetectsNonTreeStructure) {
-  const auto g = make_path(2);
-  TreeDecomposition td({{0, 1}, {0, 1}, {0, 1}}, {{0, 1}});  // 3 bags, 1 edge
-  std::string why;
-  EXPECT_FALSE(td.is_valid(g, &why));
-}
-
-TEST(TreeDecomposition, RejectsBadTreeEdges) {
-  EXPECT_THROW(TreeDecomposition({{0}}, {{0, 5}}), std::invalid_argument);
-  EXPECT_THROW(TreeDecomposition({{0}, {0}}, {{0, 0}}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace nav::decomp

@@ -36,81 +36,6 @@ TEST(EliminationOrdering, MinDegreeStartsAtLeaves) {
   EXPECT_NE(ordering.front(), 0u);
 }
 
-TEST(EliminationTree, ValidAcrossFamilies) {
-  Rng rng(2);
-  for (const auto& fam : graph::all_families()) {
-    const auto g = fam.make(64, rng);
-    const auto td =
-        elimination_tree_decomposition(g, EliminationHeuristic::kMinDegree);
-    std::string why;
-    EXPECT_TRUE(td.is_valid(g, &why)) << fam.name << ": " << why;
-  }
-}
-
-TEST(EliminationTree, MinFillValidToo) {
-  Rng rng(3);
-  const auto g = graph::make_connected_gnp(48, 0.12, rng);
-  const auto td =
-      elimination_tree_decomposition(g, EliminationHeuristic::kMinFill);
-  std::string why;
-  EXPECT_TRUE(td.is_valid(g, &why)) << why;
-}
-
-TEST(EliminationTree, TreesGetWidthOne) {
-  Rng rng(4);
-  const auto g = graph::make_random_tree(60, rng);
-  const auto td =
-      elimination_tree_decomposition(g, EliminationHeuristic::kMinDegree);
-  EXPECT_TRUE(td.is_valid(g));
-  EXPECT_EQ(width_of(td), 1u);  // min-degree on trees eliminates leaves
-}
-
-TEST(EliminationTree, CycleGetsWidthTwo) {
-  const auto g = graph::make_cycle(20);
-  const auto td =
-      elimination_tree_decomposition(g, EliminationHeuristic::kMinDegree);
-  EXPECT_TRUE(td.is_valid(g));
-  EXPECT_EQ(width_of(td), 2u);
-}
-
-TEST(EliminationTree, CliqueIsOneBigBag) {
-  const auto g = graph::make_complete(7);
-  const auto td =
-      elimination_tree_decomposition(g, EliminationHeuristic::kMinDegree);
-  EXPECT_TRUE(td.is_valid(g));
-  EXPECT_EQ(width_of(td), 6u);  // treewidth of K7
-}
-
-TEST(EliminationTree, ArbitraryOrderingStillValid) {
-  const auto g = graph::make_grid2d(4, 4);
-  std::vector<graph::NodeId> ordering(16);
-  std::iota(ordering.begin(), ordering.end(), graph::NodeId{0});
-  const auto td = elimination_tree_decomposition(g, ordering);
-  std::string why;
-  EXPECT_TRUE(td.is_valid(g, &why)) << why;
-}
-
-TEST(EliminationTree, RejectsBadOrdering) {
-  const auto g = graph::make_path(4);
-  EXPECT_THROW(elimination_tree_decomposition(g, {0, 1, 2}),
-               std::invalid_argument);
-  EXPECT_THROW(elimination_tree_decomposition(g, {0, 0, 1, 2}),
-               std::invalid_argument);
-}
-
-TEST(EliminationTree, NearOptimalOnSmallGraphsVsExactPathwidth) {
-  // Treewidth <= pathwidth, so the elimination width may legitimately beat
-  // the exact *pathwidth*; it must never be absurdly larger on small graphs.
-  Rng rng(5);
-  for (int seed = 0; seed < 6; ++seed) {
-    const auto g = graph::make_connected_gnp(14, 0.25, rng);
-    const auto pw = exact_pathwidth(g);
-    const auto td =
-        elimination_tree_decomposition(g, EliminationHeuristic::kMinFill);
-    EXPECT_LE(width_of(td), 2 * pw + 2) << "seed " << seed;
-  }
-}
-
 TEST(EliminationPath, ValidAcrossFamilies) {
   Rng rng(6);
   for (const auto& fam : graph::all_families()) {

@@ -56,7 +56,8 @@ TEST(ExactPathwidth, HypercubeQ3) {
 }
 
 TEST(ExactPathwidth, RejectsLargeGraphs) {
-  EXPECT_THROW(exact_pathwidth(graph::make_path(23)), std::invalid_argument);
+  EXPECT_THROW((void)exact_pathwidth(graph::make_path(23)),
+               std::invalid_argument);
 }
 
 TEST(ExactPathwidth, DisconnectedTakesMaxComponentish) {

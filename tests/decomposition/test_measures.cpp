@@ -62,16 +62,6 @@ TEST(Measures, WidthOfFastPath) {
   EXPECT_EQ(width_of(pd), 2u);
 }
 
-TEST(Measures, TreeDecompositionMeasured) {
-  const auto g = graph::make_star(4);
-  TreeDecomposition td({{0, 1}, {0, 2}, {0, 3}}, {{0, 1}, {1, 2}});
-  const auto m = measure(g, td);
-  EXPECT_EQ(m.width, 1u);
-  EXPECT_EQ(m.length, 1u);
-  EXPECT_EQ(m.shape, 1u);
-  EXPECT_EQ(width_of(td), 1u);
-}
-
 TEST(Measures, CliqueShapeIsOneViaTrivialBag) {
   // The paper's point: cliques have huge width but length 1, so shape 1.
   const auto g = graph::make_complete(20);

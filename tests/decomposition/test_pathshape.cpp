@@ -65,8 +65,8 @@ TEST(Pathshape, WinnerValidAcrossAllFamilies) {
 }
 
 TEST(Pathshape, UpperBoundHelper) {
-  EXPECT_EQ(pathshape_upper_bound(graph::make_path(32)), 1u);
-  EXPECT_LE(pathshape_upper_bound(graph::make_cycle(32)), 3u);
+  EXPECT_EQ(best_path_decomposition(graph::make_path(32)).measures.shape, 1u);
+  EXPECT_LE(best_path_decomposition(graph::make_cycle(32)).measures.shape, 3u);
 }
 
 TEST(Pathshape, CycleIsAtMostTwo) {

@@ -28,7 +28,9 @@ TEST(DynamicGraph, StartsAtEpochZeroWithSortedEdges) {
   ASSERT_EQ(edges.size(), 8u);
   for (std::size_t i = 0; i < edges.size(); ++i) {
     EXPECT_LT(edges[i].first, edges[i].second);
-    if (i > 0) EXPECT_LT(edges[i - 1], edges[i]);
+    if (i > 0) {
+      EXPECT_LT(edges[i - 1], edges[i]);
+    }
   }
 }
 

@@ -398,9 +398,9 @@ TEST(BfsEngine, KernelsValidateArguments) {
   std::vector<Dist> wrong(3);
   EXPECT_THROW(ws.distances_into(g, 9, out), std::invalid_argument);
   EXPECT_THROW(ws.distances_into(g, 0, wrong), std::invalid_argument);
-  EXPECT_THROW(ws.ball(g, 4, 1), std::invalid_argument);
-  EXPECT_THROW(ws.eccentricity(g, 7), std::invalid_argument);
-  EXPECT_THROW(ws.farthest(g, 4), std::invalid_argument);
+  EXPECT_THROW((void)ws.ball(g, 4, 1), std::invalid_argument);
+  EXPECT_THROW((void)ws.eccentricity(g, 7), std::invalid_argument);
+  EXPECT_THROW((void)ws.farthest(g, 4), std::invalid_argument);
 }
 
 TEST(BfsEngine, SparseDenseCutoverIsExplicit) {

@@ -21,7 +21,7 @@ TEST(Families, LookupByName) {
   EXPECT_EQ(family("path").name, "path");
   EXPECT_TRUE(has_family("torus2d"));
   EXPECT_FALSE(has_family("nope"));
-  EXPECT_THROW(family("nope"), std::invalid_argument);
+  EXPECT_THROW((void)family("nope"), std::invalid_argument);
 }
 
 TEST(Families, DeterministicFamiliesIgnoreRng) {

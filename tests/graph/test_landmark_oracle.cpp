@@ -202,8 +202,12 @@ TEST(LandmarkOracle, RoutersTerminateOnTheApproximateField) {
     if (t >= s) ++t;
     const auto got = greedy.route(s, t, &scheme, Rng(7 + trial));
     const auto deep = lookahead.route(s, t, &scheme, Rng(7 + trial));
-    if (got.reached) EXPECT_GT(got.steps, 0u);
-    if (deep.reached) EXPECT_GT(deep.steps, 0u);
+    if (got.reached) {
+      EXPECT_GT(got.steps, 0u);
+    }
+    if (deep.reached) {
+      EXPECT_GT(deep.steps, 0u);
+    }
   }
   // A pair starting inside the exact patch ball must arrive: the overlay
   // makes the field strictly descending there.

@@ -1,6 +1,6 @@
 // test_probability_rows.cpp — properties of exact distribution evaluation.
 //
-// probability_row(u) is the backbone of exact_analysis: it must (a) agree
+// probability_row(u) is the backbone of the exact analysis: it must (a) agree
 // with the scalar probability(u, v), (b) form a sub-distribution, and (c)
 // predict empirical sampling frequencies. Parameterized over the exactly-
 // evaluable schemes × representative families.

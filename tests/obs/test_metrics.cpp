@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -137,7 +138,9 @@ TEST(Registry, ManyMetricsForceShardGrowth) {
   first.inc(5);  // attaches this thread's shard at small capacity
   std::vector<Counter> later;
   for (int i = 0; i < 300; ++i) {
-    later.push_back(reg.counter("c" + std::to_string(i)));
+    std::string name = "c";
+    name.append(std::to_string(i));
+    later.push_back(reg.counter(name));
   }
   later.back().inc(9);  // out-of-range cell: triggers shard growth
   first.inc(1);

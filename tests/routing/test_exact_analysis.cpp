@@ -1,4 +1,4 @@
-#include "routing/exact_analysis.hpp"
+#include "support/exact_analysis.hpp"
 
 #include <gtest/gtest.h>
 

@@ -6,6 +6,7 @@
 #include "core/uniform_scheme.hpp"
 #include "graph/families.hpp"
 #include "graph/generators.hpp"
+#include "support/fixed_contacts.hpp"
 
 namespace nav::routing {
 namespace {
@@ -90,8 +91,8 @@ TEST(GreedyRouter, LazyEqualsEagerInDistribution) {
   GreedyRouter router(g, oracle);
   core::UniformScheme scheme(g);
   Rng rng(6);
-  const auto contacts = core::sample_all_contacts(scheme, rng);
-  const auto result = router.route_with_contacts(0, 63, contacts);
+  const core::FixedContactScheme fixed(core::sample_all_contacts(scheme, rng));
+  const auto result = router.route(0, 63, &fixed, rng);
   EXPECT_TRUE(result.reached);
   EXPECT_LE(result.steps, 63u);
 }
@@ -103,7 +104,8 @@ TEST(GreedyRouter, EagerContactUsedWhenStrictlyBetter) {
   GreedyRouter router(g, oracle);
   std::vector<graph::NodeId> contacts(10, core::kNoContact);
   contacts[0] = 9;
-  const auto result = router.route_with_contacts(0, 9, contacts, true);
+  const core::FixedContactScheme fixed(contacts);
+  const auto result = router.route(0, 9, &fixed, Rng(1), true);
   EXPECT_EQ(result.steps, 1u);
   EXPECT_EQ(result.long_links_used, 1u);
   ASSERT_EQ(result.long_flags.size(), 1u);
@@ -117,7 +119,8 @@ TEST(GreedyRouter, ContactNotUsedWhenWorse) {
   GreedyRouter router(g, oracle);
   std::vector<graph::NodeId> contacts(10, core::kNoContact);
   contacts[5] = 0;
-  const auto result = router.route_with_contacts(5, 9, contacts);
+  const core::FixedContactScheme fixed(contacts);
+  const auto result = router.route(5, 9, &fixed, Rng(1));
   EXPECT_EQ(result.steps, 4u);
   EXPECT_EQ(result.long_links_used, 0u);
 }
@@ -129,7 +132,8 @@ TEST(GreedyRouter, ContactEqualDistanceNotTaken) {
   GreedyRouter router(g, oracle);
   std::vector<graph::NodeId> contacts(10, core::kNoContact);
   contacts[2] = 3;  // same as the local step toward 9
-  const auto result = router.route_with_contacts(2, 9, contacts);
+  const core::FixedContactScheme fixed(contacts);
+  const auto result = router.route(2, 9, &fixed, Rng(1));
   EXPECT_EQ(result.long_links_used, 0u);
 }
 

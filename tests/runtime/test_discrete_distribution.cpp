@@ -61,7 +61,7 @@ TEST(DiscreteDistribution, LargeSupportHarmonic) {
 
 TEST(DiscreteDistribution, ProbabilityOutOfRangeThrows) {
   DiscreteDistribution d({1.0});
-  EXPECT_THROW(d.probability(1), std::invalid_argument);
+  EXPECT_THROW((void)d.probability(1), std::invalid_argument);
 }
 
 }  // namespace

@@ -94,8 +94,8 @@ TEST(Percentile, InterpolatesBetweenValues) {
 }
 
 TEST(Percentile, RejectsBadInput) {
-  EXPECT_THROW(percentile({}, 0.5), std::invalid_argument);
-  EXPECT_THROW(percentile({1.0}, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)percentile({}, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)percentile({1.0}, 1.5), std::invalid_argument);
 }
 
 TEST(QuantileSummary, MatchesPercentileOnUnsortedInput) {

@@ -87,7 +87,7 @@ TEST(Table, RowAccess) {
   Table t({"a"});
   t.add_row({"x"});
   EXPECT_EQ(t.row(0)[0], "x");
-  EXPECT_THROW(t.row(1), std::invalid_argument);
+  EXPECT_THROW((void)t.row(1), std::invalid_argument);
 }
 
 }  // namespace
